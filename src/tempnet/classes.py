@@ -23,6 +23,7 @@ from .core import (
     SnapshotSequence,
     StaticGraph,
     TemporalGraph,
+    _check_kind,
     discretize,
     footprint,
 )
@@ -52,8 +53,7 @@ def finite_class_membership(
     """(member, witness); witness is the smallest node id where one exists."""
     if name not in CLASS_NAMES:
         raise InputError(f"unknown class {name!r}, expected one of {CLASS_NAMES}")
-    if kind not in ("strict", "nonstrict"):
-        raise InputError(f"unknown journey kind {kind!r}")
+    _check_kind(kind)
     seq = _as_sequence(g)
     nodes = sorted(seq.nodes)
     n = len(nodes)

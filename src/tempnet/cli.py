@@ -281,6 +281,8 @@ def _cmd_sim_forest(args):
 
 
 def _cmd_sim_relabel(args):
+    if args.runs < 1:
+        raise InputError(f"--runs must be at least 1, got {args.runs}")
     seq = _require_sequence(_load_trace(args))
     rng = random.Random(args.seed)
     successes = 0

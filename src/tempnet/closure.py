@@ -7,15 +7,24 @@ snapshot in one time step.  Round-trip closures additionally carry, per arc,
 the earliest arrival and latest departure inside a window, and compose over
 adjacent windows, which is what makes the divide-and-conquer parameter
 searches in :mod:`tempnet.hierarchy` possible.
+
+All of it runs on the per-snapshot bitsets of ``core._hop_rows``, one bit per
+node.  A round-trip closure keeps per-node threshold masks (the sources that
+arrive by time t, the targets still reached leaving at t) instead of one
+entry per arc, so a compose and a round-trip test cost O(n^2) mask operations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .core import SnapshotSequence, StaticGraph, TemporalGraph, edge, induced_sequence
+from .core import (
+    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _hop_rows, _mask_bits,
+    _node_index, _union_rows, edge, induced_sequence,
+)
 from .errors import ContractError, InputError
 
 
@@ -25,58 +34,13 @@ def _require_sequence(g: TemporalGraph) -> SnapshotSequence:
     return g
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _snapshot_components(nodes, snap) -> list[set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in nodes}
-    for u, v in snap:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _reach_masks(seq: SnapshotSequence, strict: bool):
-    """R[v] = bitmask of nodes with a journey to v (v included)."""
-    order = sorted(seq.nodes)
-    idx = {v: i for i, v in enumerate(order)}
-    reach = {v: 1 << idx[v] for v in order}
+    """reach[i] = bitmask of nodes with a journey to node i (i included)."""
+    order = _node_index(seq.nodes)[0]
+    reach = [1 << i for i in range(len(order))]
     for snap in seq.snapshots:
-        if strict:
-            upd: dict[str, int] = {}
-            for u, v in snap:
-                upd[v] = upd.get(v, 0) | reach[u]
-                upd[u] = upd.get(u, 0) | reach[v]
-            for v, m in upd.items():
-                reach[v] |= m
-        else:
-            for comp in _snapshot_components(seq.nodes, snap):
-                if len(comp) == 1:
-                    continue
-                m = 0
-                for x in comp:
-                    m |= reach[x]
-                for x in comp:
-                    reach[x] = m
+        if snap:
+            reach = _hop_rows(seq.nodes, snap, strict, reach)
     return order, reach
 
 
@@ -101,9 +65,9 @@ def _closure(seq: SnapshotSequence, kind: str) -> Closure:
     order, reach = _reach_masks(seq, kind == "strict")
     arcs = frozenset(
         (order[i], v)
-        for v in order
-        for i in _mask_bits(reach[v])
-        if order[i] != v
+        for k, v in enumerate(order)
+        for i in _mask_bits(reach[k])
+        if i != k
     )
     return Closure(seq.nodes, kind, arcs)
 
@@ -116,9 +80,19 @@ def nonstrict_closure(g: TemporalGraph) -> Closure:
     return _closure(_require_sequence(g), "nonstrict")
 
 
+Rows = tuple[tuple[int, int], ...]  # (time, node mask), one time per row
+
+
 @dataclass(frozen=True)
 class RoundTripClosure:
     """Per-arc earliest arrival and latest departure inside [start, end).
+
+    Nodes are bits in the order of ``_node_index(nodes)``.  ``ea_rows[v]`` holds
+    v's sources as (time, source mask) rows by ascending earliest arrival, so
+    a prefix of rows ORs to a threshold mask; ``ld_rows[u]`` holds u's targets
+    by descending latest departure.  A node sits in at most one row, so rows
+    are canonical and ``==`` compares closures; the lists are read-only.
+    ``arcs`` is the derived view (u, v) -> (ea, ld), built on first use.
 
     Loops are implicit: ea(u, u) = start and ld(u, u) = end, the identities
     for composition (sit out a prefix or a suffix of the window).
@@ -127,39 +101,76 @@ class RoundTripClosure:
     nodes: frozenset[str]
     window: tuple[int, int]
     kind: str
-    arcs: dict[tuple[str, str], tuple[int, int]]
+    ea_rows: list[Rows]
+    ld_rows: list[Rows]
+
+    @cached_property
+    def ins(self) -> list[int]:
+        """ins[v] = mask of the sources with a journey to v (rows are disjoint)."""
+        return [sum(m for _, m in rows) for rows in self.ea_rows]
+
+    @cached_property
+    def outs(self) -> list[int]:
+        """outs[u] = mask of the targets u has a journey to."""
+        return [sum(m for _, m in rows) for rows in self.ld_rows]
+
+    @cached_property
+    def arcs(self) -> dict[tuple[str, str], tuple[int, int]]:
+        order = _node_index(self.nodes)[0]
+        ea = {
+            (order[u], order[v]): t
+            for v, rows in enumerate(self.ea_rows)
+            for t, mask in rows
+            for u in _mask_bits(mask)
+        }
+        ld = {
+            (order[u], order[v]): t
+            for u, rows in enumerate(self.ld_rows)
+            for t, mask in rows
+            for v in _mask_bits(mask)
+        }
+        return {pair: (t, ld[pair]) for pair, t in ea.items()}
 
     def ea(self, u: str, v: str) -> Optional[int]:
-        if u == v:
-            return self.window[0]
-        arc = self.arcs.get((u, v))
-        return arc[0] if arc else None
+        return self.window[0] if u == v else self.arcs.get((u, v), (None, None))[0]
 
     def ld(self, u: str, v: str) -> Optional[int]:
-        if u == v:
-            return self.window[1]
-        arc = self.arcs.get((u, v))
-        return arc[1] if arc else None
+        return self.window[1] if u == v else self.arcs.get((u, v), (None, None))[1]
 
 
 def roundtrip_lift(snapshot: StaticGraph, index: int, kind: str = "strict") -> RoundTripClosure:
     """Round-trip closure of the single-snapshot window [index, index+1)."""
-    arcs: dict[tuple[str, str], tuple[int, int]] = {}
-    if kind == "strict":
-        for u, v in snapshot.edges:
-            arcs[(u, v)] = (index, index)
-            arcs[(v, u)] = (index, index)
-    else:
-        for comp in snapshot.connected_components():
-            for u in comp:
-                for v in comp:
-                    if u != v:
-                        arcs[(u, v)] = (index, index)
-    return RoundTripClosure(snapshot.nodes, (index, index + 1), kind, arcs)
+    strict = _check_kind(kind)
+    rows = [
+        ((index, row ^ 1 << i),) if row != 1 << i else ()
+        for i, row in enumerate(_hop_rows(snapshot.nodes, snapshot.edges, strict))
+    ]
+    return RoundTripClosure(snapshot.nodes, (index, index + 1), kind, rows, rows)
+
+
+def _extend(head: Rows, todo: int, tail: Rows, relays: list[int]) -> Rows:
+    """head plus the rows of tail widened by relays, each todo node in its first row."""
+    out = list(head)
+    for t, mask in tail:
+        if not todo:
+            break
+        wide = (mask | _union_rows(mask, relays)) & todo
+        if wide:
+            out.append((t, wide))
+            todo ^= wide
+    return tuple(out)
 
 
 def concat_roundtrip(first: RoundTripClosure, second: RoundTripClosure) -> RoundTripClosure:
-    """Compose closures of adjacent windows [a, m) and [m, b) into [a, b)."""
+    """Compose closures of adjacent windows A = [a, m) and B = [m, b) into [a, b).
+
+    Every time in A precedes every time in B, so ea(u, v) is ea_A(u, v) when
+    that arc exists and otherwise the least ea_B(w, v) over relays w in
+    {u} + out_A(u); walking v's B rows in ascending time and adding the
+    A-sources of each relay assigns all u at once.  ld is the mirror case:
+    ld_B(u, v) if it exists, else the greatest ld_A(u, w) over w in
+    {v} + in_B(v).  Costs O(n^2) mask operations.
+    """
     if first.nodes != second.nodes:
         raise ContractError("round-trip closures are over different node sets")
     if first.kind != second.kind:
@@ -168,39 +179,19 @@ def concat_roundtrip(first: RoundTripClosure, second: RoundTripClosure) -> Round
         raise ContractError(
             f"windows {first.window} and {second.window} are not adjacent"
         )
-    nodes = sorted(first.nodes)
-    # relay index: who can be reached from u in A, who can reach v in B
-    out_a: dict[str, list[str]] = {u: [] for u in nodes}
-    in_b: dict[str, list[str]] = {v: [] for v in nodes}
-    for (u, w) in first.arcs:
-        out_a[u].append(w)
-    for (w, v) in second.arcs:
-        in_b[v].append(w)
-    arcs: dict[tuple[str, str], tuple[int, int]] = {}
-    for u in nodes:
-        reach_a = set(out_a[u])
-        for v in nodes:
-            if u == v:
-                continue
-            a_arc = first.arcs.get((u, v))
-            b_arc = second.arcs.get((u, v))
-            ea_cands = []
-            ld_cands = []
-            if a_arc:
-                ea_cands.append(a_arc[0])
-                ld_cands.append(a_arc[1])
-            if b_arc:
-                ea_cands.append(b_arc[0])
-                ld_cands.append(b_arc[1])
-            for w in in_b[v]:
-                if w == u or w in reach_a:
-                    # any arrival in A precedes any departure in B
-                    ea_cands.append(second.arcs[(w, v)][0])
-                    if w != u:
-                        ld_cands.append(first.arcs[(u, w)][1])
-            if ea_cands:
-                arcs[(u, v)] = (min(ea_cands), max(ld_cands))
-    return RoundTripClosure(first.nodes, (first.window[0], second.window[1]), first.kind, arcs)
+    full = (1 << len(first.nodes)) - 1
+    ins_a, outs_b = first.ins, second.outs
+    ea_rows = [
+        _extend(rows, full & ~(ins_a[v] | 1 << v), second.ea_rows[v], ins_a)
+        for v, rows in enumerate(first.ea_rows)
+    ]
+    ld_rows = [
+        _extend(rows, full & ~(outs_b[u] | 1 << u), first.ld_rows[u], outs_b)
+        for u, rows in enumerate(second.ld_rows)
+    ]
+    return RoundTripClosure(
+        first.nodes, (first.window[0], second.window[1]), first.kind, ea_rows, ld_rows
+    )
 
 
 def roundtrip_closure(
@@ -221,20 +212,24 @@ def roundtrip_closure(
 
 
 def is_roundtrip_connected(rt: RoundTripClosure) -> bool:
-    """Every ordered pair has a journey and a return departing after arrival."""
+    """Every ordered pair has a journey and a return departing after arrival.
+
+    Each source u of v needs ea(u, v) < ld(v, u) (<= when non-strict): a
+    two-pointer merge of v's ea rows, latest first, against its ld rows.
+    """
+    full = (1 << len(rt.nodes)) - 1
     strict = rt.kind == "strict"
-    for u in rt.nodes:
-        for v in rt.nodes:
-            if u == v:
-                continue
-            go = rt.arcs.get((u, v))
-            back = rt.arcs.get((v, u))
-            if go is None or back is None:
-                return False
-            if strict:
-                if not go[0] < back[1]:
-                    return False
-            elif not go[0] <= back[1]:
+    for v, (ea_rows, ld_rows) in enumerate(zip(rt.ea_rows, rt.ld_rows)):
+        if rt.ins[v] | 1 << v != full or rt.outs[v] | 1 << v != full:
+            return False
+        back = 0  # targets u with ld(v, u) late enough for the current arrival
+        k = 0
+        for t, sources in reversed(ea_rows):
+            late = t + 1 if strict else t
+            while k < len(ld_rows) and ld_rows[k][0] >= late:
+                back |= ld_rows[k][1]
+                k += 1
+            if sources & ~back:
                 return False
     return True
 
@@ -263,7 +258,7 @@ def _is_component(seq: SnapshotSequence, nodes: frozenset[str], strict: bool) ->
     sub = induced_sequence(seq, nodes)
     _, reach = _reach_masks(sub, strict)
     full = (1 << len(nodes)) - 1
-    return all(reach[v] == full for v in nodes)
+    return all(mask == full for mask in reach)
 
 
 def maximal_temporal_components(
@@ -278,20 +273,17 @@ def maximal_temporal_components(
     limit_n=None to override it.
     """
     seq = _require_sequence(g)
-    if kind not in ("strict", "nonstrict"):
-        raise InputError(f"unknown journey kind {kind!r}")
-    strict = kind == "strict"
+    strict = _check_kind(kind)
     if limit_n is not None and len(seq.nodes) > limit_n:
         raise ContractError(
             f"{len(seq.nodes)} nodes exceed the component search limit {limit_n}"
         )
     order, reach = _reach_masks(seq, strict)
-    idx = {v: i for i, v in enumerate(order)}
     mutual: dict[str, set[str]] = {v: set() for v in order}
-    for u, v in itertools.combinations(order, 2):
-        if reach[v] >> idx[u] & 1 and reach[u] >> idx[v] & 1:
-            mutual[u].add(v)
-            mutual[v].add(u)
+    for i, j in itertools.combinations(range(len(order)), 2):
+        if reach[j] >> i & 1 and reach[i] >> j & 1:
+            mutual[order[i]].add(order[j])
+            mutual[order[j]].add(order[i])
     accepted: list[frozenset[str]] = []
     for clique in sorted(_bron_kerbosch(mutual), key=lambda c: (-len(c), sorted(c))):
         for size in range(len(clique), 0, -1):

@@ -20,13 +20,90 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError, RangeError
 
 Edge = tuple[str, str]
 Time = Union[int, Fraction]
+
+KINDS = ("strict", "nonstrict")
+
+
+def _check_kind(kind: str) -> bool:
+    """Reject unknown journey kinds; True for strict."""
+    if kind not in KINDS:
+        raise InputError(f"journey kind must be one of {KINDS}, got {kind!r}")
+    return kind == "strict"
+
+
+@lru_cache(maxsize=8)
+def _node_index(nodes: frozenset[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The bitset kernels' node index: sorted order, and name -> bit (shared, read-only)."""
+    order = tuple(sorted(nodes))
+    return order, {v: i for i, v in enumerate(order)}
+
+
+def _mask_bits(mask: int):
+    """Bit positions set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union_rows(mask: int, rows: Sequence[int]) -> int:
+    """OR of rows[j] over the bits j of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _hop_rows(nodes: frozenset[str], edges: Iterable[Edge], strict: bool,
+              masks: Sequence[int] | None = None) -> list[int]:
+    """rows[i] = OR of masks[j] over the nodes j that i reaches within one snapshot.
+
+    Node i reaches itself and its neighbours when strict (one hop per
+    snapshot) and its whole connected component when non-strict.  masks
+    default to one bit per node, which gives the snapshot's hop rows.
+    """
+    bit = _node_index(nodes)[1]
+    units = [1 << i for i in range(len(bit))]
+    masks = units if masks is None else masks
+    carried = masks if strict else units  # non-strict: find the components first
+    adj = list(carried)
+    for u, v in edges:
+        i, j = bit[u], bit[v]
+        adj[i] |= carried[j]
+        adj[j] |= carried[i]
+    if strict:
+        return adj
+    rows, done = list(masks), 0
+    for i, row in enumerate(adj):
+        if not done >> i & 1 and row != units[i]:
+            comp = frontier = row
+            while frontier:
+                frontier = _union_rows(frontier, adj) & ~comp
+                comp |= frontier
+            joined = _union_rows(comp, masks)
+            for j in _mask_bits(comp):
+                rows[j] = joined
+            done |= comp
+    return rows
+
+
+def _check_edges(edges: Iterable[Edge], nodes: frozenset[str]):
+    for u, v in edges:
+        if u == v:
+            raise InputError(f"self-loop at {u!r} rejected")
+        if u > v:
+            raise InputError(f"edge {(u, v)!r} not in canonical order")
+        if u not in nodes or v not in nodes:
+            raise InputError(f"edge {(u, v)!r} has endpoint outside the node set")
 
 
 def edge(u: str, v: str) -> Edge:
@@ -35,7 +112,10 @@ def edge(u: str, v: str) -> Edge:
         raise InputError("node ids must be non-empty strings")
     if u == v:
         raise InputError(f"self-loop at {u!r} rejected")
-    return (u, v) if u < v else (v, u)
+    try:
+        return (u, v) if u < v else (v, u)
+    except TypeError:
+        raise InputError(f"node ids must be strings, got {u!r} and {v!r}") from None
 
 
 def as_time(x) -> Fraction:
@@ -66,13 +146,7 @@ class StaticGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise InputError(f"self-loop at {u!r} rejected")
-            if u > v:
-                raise InputError(f"edge {(u, v)!r} not in canonical order")
-            if u not in self.nodes or v not in self.nodes:
-                raise InputError(f"edge {(u, v)!r} has endpoint outside the node set")
+        _check_edges(self.edges, self.nodes)
 
     @staticmethod
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "StaticGraph":
@@ -94,22 +168,10 @@ class StaticGraph:
             raise InputError(f"unknown node {v!r}") from None
 
     def connected_components(self) -> list[frozenset[str]]:
-        seen: set[str] = set()
-        comps = []
-        for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adjacency[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        """Components in the order of their least node."""
+        order = _node_index(self.nodes)[0]
+        rows = dict.fromkeys(_hop_rows(self.nodes, self.edges, strict=False))
+        return [frozenset(order[j] for j in _mask_bits(row)) for row in rows]
 
     def is_connected(self) -> bool:
         return len(self.nodes) <= 1 or len(self.connected_components()) == 1
@@ -130,13 +192,7 @@ class SnapshotSequence:
         if len(self.snapshots) < 1:
             raise InputError("a snapshot sequence needs at least one snapshot")
         for g in self.snapshots:
-            for u, v in g:
-                if u == v:
-                    raise InputError(f"self-loop at {u!r} rejected")
-                if u > v:
-                    raise InputError(f"edge {(u, v)!r} not in canonical order")
-                if u not in self.nodes or v not in self.nodes:
-                    raise InputError(f"edge {(u, v)!r} has endpoint outside the node set")
+            _check_edges(g, self.nodes)
 
     @staticmethod
     def build(nodes: Iterable[str], snapshots: Sequence[Iterable[tuple[str, str]]]) -> "SnapshotSequence":
@@ -195,15 +251,10 @@ class IntervalGraph:
     def __post_init__(self):
         if self.latency < 0:
             raise InputError("latency must be >= 0")
-        for (u, v), ivs in self.edges.items():
-            if u == v:
-                raise InputError(f"self-loop at {u!r} rejected")
-            if u > v:
-                raise InputError(f"edge {(u, v)!r} not in canonical order")
-            if u not in self.nodes or v not in self.nodes:
-                raise InputError(f"edge {(u, v)!r} has endpoint outside the node set")
+        _check_edges(self.edges, self.nodes)
+        for e, ivs in self.edges.items():
             if not ivs:
-                raise InputError(f"edge {(u, v)!r} has no presence interval")
+                raise InputError(f"edge {e!r} has no presence interval")
 
     @staticmethod
     def build(

@@ -19,13 +19,14 @@ operation counts let callers audit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import SnapshotSequence, StaticGraph
+from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_rows, _union_rows
 from .errors import InputError, RangeError
-from .closure import RoundTripClosure, concat_roundtrip, is_roundtrip_connected, roundtrip_lift
+from .closure import concat_roundtrip, is_roundtrip_connected, roundtrip_lift
 
 DIRECTIONS = ("grow", "shrink")
 
@@ -175,28 +176,13 @@ def extremal(algebra: WindowAlgebra, seq: SnapshotSequence) -> HierarchyResult:
     counted = _Counted(algebra)
     delta = seq.delta
     if algebra.direction == "grow":
-        q = _walk_grow(algebra, counted, seq)
-        best = None
-        prefix_max: list = []
-        running = 0
-        for val in q:
-            running = max(running, val)
-            prefix_max.append(running)
-        for r in range(1, delta + 1):
-            if prefix_max[delta - r] <= r:
-                best = r
-                break
-        return HierarchyResult(best, dict(counted.ops))
-    h = _walk_shrink(algebra, counted, seq)
-    prefix_min: list = []
-    running = math.inf
-    for val in h:
-        running = min(running, val)
-        prefix_min.append(running)
-    for r in range(delta, 0, -1):
-        if prefix_min[delta - r] >= r:
-            return HierarchyResult(r, dict(counted.ops))
-    return HierarchyResult(None, dict(counted.ops))
+        # running maxima of q; r works iff it covers q[s] for every s <= delta - r
+        q = list(itertools.accumulate(_walk_grow(algebra, counted, seq), max))
+        best = next((r for r in range(1, delta + 1) if q[delta - r] <= r), None)
+    else:
+        h = list(itertools.accumulate(_walk_shrink(algebra, counted, seq), min))
+        best = next((r for r in range(delta, 0, -1) if h[delta - r] >= r), None)
+    return HierarchyResult(best, dict(counted.ops))
 
 
 class IncrementalDecide:
@@ -251,61 +237,29 @@ def footprint_realization(target: StaticGraph) -> WindowAlgebra:
     )
 
 
-def _matrix_lift(gs: StaticGraph, order: dict[str, int], strict: bool) -> tuple[int, ...]:
-    n = len(order)
-    rows = [1 << i for i in range(n)]
-    if strict:
-        for u, v in gs.edges:
-            rows[order[u]] |= 1 << order[v]
-            rows[order[v]] |= 1 << order[u]
-    else:
-        for comp in gs.connected_components():
-            mask = 0
-            for v in comp:
-                mask |= 1 << order[v]
-            for v in comp:
-                rows[order[v]] |= mask
-    return tuple(rows)
-
-
-def _matrix_join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in a:
-        acc = 0
-        m = row
-        while m:
-            low = m & -m
-            acc |= b[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return tuple(out)
-
-
 def tdiameter(kind: str = "strict") -> WindowAlgebra:
     """Smallest r such that every r-window is temporally connected.
 
     Elements are reachability matrices (bitmask rows, diagonal set so that
     journeys may wait); compose is the boolean matrix join in window order.
     """
-    strict = kind == "strict"
-    order_cache: dict[frozenset, dict[str, int]] = {}
+    strict = _check_kind(kind)
 
-    def lift(i: int, gs: StaticGraph):
-        order = order_cache.get(gs.nodes)
-        if order is None:
-            order = {v: k for k, v in enumerate(sorted(gs.nodes))}
-            order_cache[gs.nodes] = order
-        return _matrix_lift(gs, order, strict)
-
-    def test(rows: tuple[int, ...]) -> bool:
+    def test(rows: list[int]) -> bool:
         full = (1 << len(rows)) - 1
         return all(row == full for row in rows)
 
-    return WindowAlgebra(lift=lift, compose=_matrix_join, test=test, direction="grow")
+    return WindowAlgebra(
+        lift=lambda i, gs: _hop_rows(gs.nodes, gs.edges, strict),
+        compose=lambda a, b: [_union_rows(row, b) for row in a],
+        test=test,
+        direction="grow",
+    )
 
 
 def rt_tdiameter(kind: str = "strict") -> WindowAlgebra:
     """Smallest r such that every r-window is round-trip temporally connected."""
+    _check_kind(kind)
     return WindowAlgebra(
         lift=lambda i, gs: roundtrip_lift(gs, i, kind),
         compose=concat_roundtrip,

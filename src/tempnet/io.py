@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import IntervalGraph, SnapshotSequence, StaticGraph, TemporalGraph, as_time
+from .core import IntervalGraph, SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, as_time
 from .errors import InputError
 
 
@@ -54,12 +54,20 @@ def load_graph(data) -> TemporalGraph:
     raise InputError(f"unknown trace format {fmt!r}")
 
 
+def _require_string_ids(nodes):
+    # the bitset kernels sort node ids; core.edge rejects endpoints that don't compare
+    for v in nodes:
+        if not isinstance(v, str):
+            raise InputError(f"node ids must be strings, got {v!r}")
+
+
 def _load_snapshots(data) -> SnapshotSequence:
     try:
         nodes = list(data["nodes"])
         snaps = [[(u, v) for u, v in snap] for snap in data["snapshots"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed snapshot trace: {exc}") from exc
+    _require_string_ids(nodes)
     return SnapshotSequence.build(nodes, snaps)
 
 
@@ -73,6 +81,7 @@ def _load_intervals(data) -> IntervalGraph:
         span = data.get("lifetime")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed interval trace: {exc}") from exc
+    _require_string_ids(nodes)
     return IntervalGraph.build(nodes, edges, latency=latency, span=span)
 
 
@@ -200,8 +209,7 @@ def journey_from_json(data, latency=None):
         kind = data["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed journey: {exc}") from exc
-    if kind not in ("strict", "nonstrict"):
-        raise InputError(f"unknown journey kind {kind!r}")
+    _check_kind(kind)
     if latency is None:
         hops = tuple(
             (u, v, int(t) if t.denominator == 1 else t) for u, v, t in hops

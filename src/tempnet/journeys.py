@@ -30,6 +30,7 @@ from .core import (
     SnapshotSequence,
     TemporalGraph,
     Time,
+    _check_kind,
     as_time,
     characteristic_dates,
     edge,
@@ -41,15 +42,7 @@ from .core import (
 )
 from .errors import ContractError, InputError, RangeError
 
-KINDS = ("strict", "nonstrict")
-
 INF = math.inf
-
-
-def _check_kind(kind: str) -> bool:
-    if kind not in KINDS:
-        raise InputError(f"journey kind must be one of {KINDS}, got {kind!r}")
-    return kind == "strict"
 
 
 def _check_node(g: TemporalGraph, v: str):

@@ -198,6 +198,16 @@ def test_sim_relabel(capsys, trace_file, weekly_line):
     assert data["necessary"] is True and data["sufficient"] is True
 
 
+def test_sim_relabel_rejects_zero_runs(capsys, trace_file, weekly_line):
+    code = main([
+        "sim", "relabel", trace_file(weekly_line),
+        "--algorithm", "broadcast", "--emitter", "a", "--runs", "0",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("tempnet: error:") and "Traceback" not in err
+
+
 def test_windows_csv(capsys, trace_file, weekly_line):
     code, out = run_cli(
         capsys, "windows", trace_file(weekly_line),
@@ -213,6 +223,14 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["stats", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_non_string_node_ids_exit_1(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text('{"format":"snapshots","nodes":["a",2],"snapshots":[[["a",2]]]}')
+    assert main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tempnet: error:") and "Traceback" not in err
 
 
 def test_exit_code_1_on_usage_errors(capsys):

@@ -1,11 +1,11 @@
 """Closures, round-trip composition, components, semaphore unfolding."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from conftest import CLOSURE_FIG_ARCS, graph_of, seq_of
-from strategies import KINDS, sequences
+from strategies import KINDS, dense_sequences, sequences
 from tempnet.closure import (
     concat_roundtrip,
     is_roundtrip_connected,
@@ -90,6 +90,40 @@ def test_roundtrip_concat_splits_anywhere(seq, kind):
         left = roundtrip_closure(seq, (0, cut), kind)
         right = roundtrip_closure(seq, (cut, seq.delta), kind)
         assert concat_roundtrip(left, right) == whole
+
+
+# empty snapshots between the hops, and a node ("d") that never meets anyone
+GAPPY = seq_of("abcd", [], ["ab"], [], [], ["bc"], ["ab", "bc"], [])
+
+
+@settings(deadline=None)
+@given(dense_sequences(min_n=1, max_n=7, max_delta=8), KINDS)
+@example(GAPPY, "strict")
+@example(GAPPY, "nonstrict")
+def test_roundtrip_kernel_composes_every_window(seq, kind):
+    rt = {
+        (a, b): roundtrip_closure(seq, (a, b), kind)
+        for a in range(seq.delta)
+        for b in range(a + 1, seq.delta + 1)
+    }
+    for (a, b), whole in rt.items():
+        assert whole.arcs == oracles.brute_rt_arcs(seq, a, b, kind)
+        assert is_roundtrip_connected(whole) == oracles.brute_rt_connected(seq, a, b, kind)
+        for m in range(a + 1, b):
+            assert concat_roundtrip(rt[a, m], rt[m, b]) == whole
+            for m2 in range(m + 1, b):
+                left = concat_roundtrip(concat_roundtrip(rt[a, m], rt[m, m2]), rt[m2, b])
+                right = concat_roundtrip(rt[a, m], concat_roundtrip(rt[m, m2], rt[m2, b]))
+                assert left == right == whole
+
+
+@pytest.mark.parametrize("make", [
+    lambda seq: roundtrip_lift(seq.graph_at(0), 0, "bogus"),
+    lambda seq: roundtrip_closure(seq, kind="bogus"),
+])
+def test_roundtrip_rejects_unknown_kind(journey_fig, make):
+    with pytest.raises(InputError):
+        make(journey_fig)
 
 
 def test_roundtrip_closure_rejects_bad_window(journey_fig):

@@ -123,3 +123,9 @@ def test_decide_rejects_bad_window(journey_fig):
 def test_algebra_rejects_unknown_direction():
     with pytest.raises(InputError):
         WindowAlgebra(lambda i, g: g, lambda a, b: a, lambda x: True, "sideways")
+
+
+@pytest.mark.parametrize("make", [tdiameter, rt_tdiameter])
+def test_diameter_algebras_reject_unknown_kind(journey_fig, make):
+    with pytest.raises(InputError):
+        extremal(make("bogus"), journey_fig)

@@ -59,6 +59,21 @@ def test_linkstream_rejects_bad_header_and_rows():
         load_linkstream("u,v,start,end\na,b,0\n")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"format": "snapshots", "nodes": ["a", 2], "snapshots": [[["a", 2]]]},
+        {"format": "snapshots", "nodes": ["a", "b"], "snapshots": [[["a", 2]]]},
+        {"format": "intervals", "nodes": ["a", 2],
+         "edges": [{"u": "a", "v": 2, "intervals": [[0, 1]]}]},
+        {"format": "intervals", "nodes": [None, "b"], "edges": []},
+    ],
+)
+def test_load_graph_requires_string_node_ids(payload):
+    with pytest.raises(InputError, match="node ids must be strings"):
+        load_graph(payload)
+
+
 def test_linkstream_canonicalizes_endpoint_order():
     g = load_linkstream("u,v,start,end\nb,a,0,2\n")
     assert ("a", "b") in g.edges
