@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    SnapshotSequence,
     StaticGraph,
     TemporalGraph,
+    _as_sequence,
     _check_kind,
-    discretize,
     footprint,
 )
 from .closure import (
@@ -39,12 +38,6 @@ from . import hierarchy
 from .journeys import steady_progress_alpha
 
 CLASS_NAMES = ("J1A", "JA1", "TC", "TCrt", "E1A", "K")
-
-
-def _as_sequence(g: TemporalGraph) -> SnapshotSequence:
-    if isinstance(g, SnapshotSequence):
-        return g
-    return discretize(g).sequence
 
 
 def finite_class_membership(

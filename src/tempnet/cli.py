@@ -20,10 +20,9 @@ from pathlib import Path
 from . import classes, closure as closure_mod, hierarchy, relabel, simforest
 from .core import (
     SnapshotSequence,
+    _as_sequence,
     as_time,
-    discretize,
     footprint,
-    lifetime,
     stats,
     to_intervals,
     to_snapshots,
@@ -92,17 +91,11 @@ def _load_trace(args):
     return load_graph(text)
 
 
-def _require_sequence(g) -> SnapshotSequence:
-    if isinstance(g, SnapshotSequence):
-        return g
-    return discretize(g).sequence
-
-
-def _limit(args):
+def _limit(args) -> dict:
     # --limit-n 0 disables the desk-scale bound entirely
     if args.limit_n is None:
-        return "default"
-    return None if args.limit_n == 0 else args.limit_n
+        return {}
+    return {"limit_n": args.limit_n or None}
 
 
 def _parse_time(text, g):
@@ -146,7 +139,7 @@ def _cmd_convert(args):
 
 
 def _cmd_closure(args):
-    seq = _require_sequence(_load_trace(args))
+    seq = _as_sequence(_load_trace(args))
     if args.roundtrip:
         window = tuple(int(x) for x in args.window) if args.window else None
         result = closure_mod.roundtrip_closure(seq, window=window, kind=args.kind)
@@ -178,7 +171,7 @@ def _cmd_param(args):
         window = tuple(as_time(x) for x in args.window) if args.window else None
         value = steady_progress_alpha(g, window=window, kind=args.kind, pair=pair)
         return {"value": format_time(value) if value is not None else None}
-    seq = _require_sequence(g)
+    seq = _as_sequence(g)
     if args.name == "period":
         return {"value": classes.smallest_period(seq)}
     algebra = _PARAM_ALGEBRAS[args.name](seq, args.kind)
@@ -242,22 +235,14 @@ def _cmd_journey(args):
         return {"value": format_time(value) if value is not None else None}
     if mode in ("disjoint", "separator"):
         fn = max_disjoint_journeys if mode == "disjoint" else min_temporal_separator
-        kwargs = {}
-        lim = _limit(args)
-        if lim != "default":
-            kwargs["limit_n"] = lim
-        value = fn(g, args.src, args.dst, kind=args.kind, **kwargs)
+        value = fn(g, args.src, args.dst, kind=args.kind, **_limit(args))
         return {"value": format_time(value) if value == math.inf else value}
     raise InputError(f"unknown journey mode {mode!r}")
 
 
 def _cmd_components(args):
-    seq = _require_sequence(_load_trace(args))
-    kwargs = {}
-    lim = _limit(args)
-    if lim != "default":
-        kwargs["limit_n"] = lim
-    comps = closure_mod.maximal_temporal_components(seq, kind=args.kind, **kwargs)
+    seq = _as_sequence(_load_trace(args))
+    comps = closure_mod.maximal_temporal_components(seq, kind=args.kind, **_limit(args))
     return {"count": len(comps), "components": [sorted(c) for c in comps]}
 
 
@@ -265,16 +250,12 @@ def _cmd_robust_mis(args):
     fp = footprint(_load_trace(args))
     if args.check:
         return {"valid": classes.is_robust_mis(fp, args.check)}
-    kwargs = {}
-    lim = _limit(args)
-    if lim != "default":
-        kwargs["limit_n"] = lim
-    found = classes.find_robust_mis(fp, **kwargs)
+    found = classes.find_robust_mis(fp, **_limit(args))
     return {"robust_mis": sorted(found) if found is not None else None}
 
 
 def _cmd_sim_forest(args):
-    seq = _require_sequence(_load_trace(args))
+    seq = _as_sequence(_load_trace(args))
     rng = random.Random(args.seed)
     series = simforest.run(seq, rng=rng, merge_rule=args.merge_rule, checks=args.checks)
     return {"series": series}
@@ -283,7 +264,7 @@ def _cmd_sim_forest(args):
 def _cmd_sim_relabel(args):
     if args.runs < 1:
         raise InputError(f"--runs must be at least 1, got {args.runs}")
-    seq = _require_sequence(_load_trace(args))
+    seq = _as_sequence(_load_trace(args))
     rng = random.Random(args.seed)
     successes = 0
     for _ in range(args.runs):

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .core import (
     SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _hop_rows, _mask_bits,
-    _node_index, _union_rows, edge, induced_sequence,
+    _node_index, _reach_masks, _union_rows, edge,
 )
 from .errors import ContractError, InputError
 
@@ -32,16 +32,6 @@ def _require_sequence(g: TemporalGraph) -> SnapshotSequence:
     if not isinstance(g, SnapshotSequence):
         raise InputError("closure operations need a snapshot sequence; discretize() first")
     return g
-
-
-def _reach_masks(seq: SnapshotSequence, strict: bool):
-    """reach[i] = bitmask of nodes with a journey to node i (i included)."""
-    order = _node_index(seq.nodes)[0]
-    reach = [1 << i for i in range(len(order))]
-    for snap in seq.snapshots:
-        if snap:
-            reach = _hop_rows(seq.nodes, snap, strict, reach)
-    return order, reach
 
 
 @dataclass(frozen=True)
@@ -255,10 +245,10 @@ def _is_component(seq: SnapshotSequence, nodes: frozenset[str], strict: bool) ->
     # closed variant: journeys must stay inside the candidate set
     if len(nodes) == 1:
         return True
-    sub = induced_sequence(seq, nodes)
-    _, reach = _reach_masks(sub, strict)
-    full = (1 << len(nodes)) - 1
-    return all(mask == full for mask in reach)
+    bit = _node_index(seq.nodes)[1]
+    full = sum(1 << bit[v] for v in nodes)
+    _, reach = _reach_masks(seq, strict, nodes)
+    return all(reach[bit[v]] == full for v in nodes)
 
 
 def maximal_temporal_components(

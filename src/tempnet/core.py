@@ -18,7 +18,7 @@ All types are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
@@ -96,6 +96,21 @@ def _hop_rows(nodes: frozenset[str], edges: Iterable[Edge], strict: bool,
     return rows
 
 
+def _reach_masks(seq: SnapshotSequence, strict: bool, within: frozenset[str] | None = None):
+    """reach[i] = bitmask of nodes with a journey to node i (i included).
+
+    within, when given, restricts journeys to edges with both ends in it.
+    """
+    order = _node_index(seq.nodes)[0]
+    reach = [1 << i for i in range(len(order))]
+    for snap in seq.snapshots:
+        if within is not None:
+            snap = [(u, v) for u, v in snap if u in within and v in within]
+        if snap:
+            reach = _hop_rows(seq.nodes, snap, strict, reach)
+    return order, reach
+
+
 def _check_edges(edges: Iterable[Edge], nodes: frozenset[str]):
     for u, v in edges:
         if u == v:
@@ -160,12 +175,6 @@ class StaticGraph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        try:
-            return self.adjacency[v]
-        except KeyError:
-            raise InputError(f"unknown node {v!r}") from None
 
     def connected_components(self) -> list[frozenset[str]]:
         """Components in the order of their least node."""
@@ -421,6 +430,11 @@ def discretize(g: IntervalGraph) -> Discretization:
             if any(x <= a and b <= y for x, y in ivs)
         ))
     return Discretization(SnapshotSequence(g.nodes, tuple(snaps)), spans)
+
+
+def _as_sequence(g: TemporalGraph) -> SnapshotSequence:
+    """g itself, or the snapshot sequence of its discretization."""
+    return g if isinstance(g, SnapshotSequence) else discretize(g).sequence
 
 
 @dataclass(frozen=True)

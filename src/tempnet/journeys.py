@@ -25,17 +25,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Edge,
     IntervalGraph,
     SnapshotSequence,
     TemporalGraph,
     Time,
     _check_kind,
+    _node_index,
+    _reach_masks,
     as_time,
     characteristic_dates,
     edge,
     footprint,
-    induced_sequence,
     lifetime,
     supports_hop,
     temporal_subgraph,
@@ -664,15 +664,15 @@ def _journey_exists(g: TemporalGraph, s: str, t: str, internal, kind: str) -> bo
         return True
     keep = frozenset(internal) | {s, t}
     if isinstance(g, SnapshotSequence):
-        sub = induced_sequence(g, keep)
-        table = earliest_arrival(sub, s, 0, kind)
-    else:
-        edges = {
-            e: ivs for e, ivs in g.edges.items() if e[0] in keep and e[1] in keep
-        }
-        sub = IntervalGraph(keep, edges, g.latency, g.span)
-        lo, _ = lifetime(sub)
-        table = earliest_arrival(sub, s, lo, kind)
+        bit = _node_index(g.nodes)[1]
+        _, reach = _reach_masks(g, kind == "strict", keep)
+        return bool(reach[bit[t]] >> bit[s] & 1)
+    edges = {
+        e: ivs for e, ivs in g.edges.items() if e[0] in keep and e[1] in keep
+    }
+    sub = IntervalGraph(keep, edges, g.latency, g.span)
+    lo, _ = lifetime(sub)
+    table = earliest_arrival(sub, s, lo, kind)
     return t in table.parent
 
 

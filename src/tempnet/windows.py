@@ -4,15 +4,25 @@ Metrics are measured inside each window [s, s+width) with journeys departing
 at or after the window start (unlike the pointwise eccentricity convention,
 which looks just after an instant).  Windows advance by a fixed step from
 the start of the lifetime; a trailing partial window is dropped.
+
+On a snapshot sequence one walk of the strict ``tdiameter`` window algebra
+(:mod:`tempnet.hierarchy`) finds, for every start s, the length q[s] of the
+shortest window from s in which everyone (for ``ecc:v``, node v) reaches
+everyone; every point reads off q, so a whole series costs O(delta)
+compose and test calls whatever its width and step.  Interval graphs run
+earliest arrival from every node in every window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import SnapshotSequence, TemporalGraph, Time, as_time, lifetime, temporal_subgraph
+from .core import (
+    SnapshotSequence, TemporalGraph, Time, _node_index, as_time, lifetime, temporal_subgraph,
+)
 from .errors import InputError, RangeError
+from .hierarchy import _Counted, _walk_grow, tdiameter
 from .io import format_time
 from .journeys import earliest_arrival
 
@@ -33,31 +43,30 @@ class WindowSeries:
         return "\n".join(lines) + "\n"
 
 
-def _window_ecc(sub: TemporalGraph, u: str, start: Time) -> Time:
-    table = earliest_arrival(sub, u, start)
+def _shortest_passing(seq: SnapshotSequence, node) -> list:
+    """q[s]: length of the shortest window from s in which everyone (or node)
+    reaches everyone, inf when none does.
+    """
+    algebra = tdiameter("strict")
+    if node is not None:
+        v = _node_index(seq.nodes)[1][node]
+        full = (1 << len(seq.nodes)) - 1
+        algebra = replace(algebra, test=lambda rows: rows[v] == full)
+    return _walk_grow(algebra, _Counted(algebra), seq)
+
+
+def _window_ecc(sub: TemporalGraph, sources, start: Time) -> Time:
+    """Latest foremost arrival - start from any source; inf once a node is missed."""
     worst: Time = 0
-    for v in sub.nodes:
-        if v == u:
-            continue
-        if v not in table.parent:
-            return math.inf
-        worst = max(worst, table.arrival[v] - start)
+    for u in sources:
+        table = earliest_arrival(sub, u, start)
+        for v in sub.nodes:
+            if v == u:
+                continue
+            if v not in table.parent:
+                return math.inf
+            worst = max(worst, table.arrival[v] - start)
     return worst
-
-
-def _window_value(sub: TemporalGraph, metric: str, start: Time) -> Time:
-    if metric == "tdiam":
-        return max(_window_ecc(sub, u, start) for u in sorted(sub.nodes))
-    if metric == "tc":
-        return int(
-            all(_window_ecc(sub, u, start) != math.inf for u in sorted(sub.nodes))
-        )
-    if metric.startswith("ecc:"):
-        node = metric.split(":", 1)[1]
-        if node not in sub.nodes:
-            raise InputError(f"unknown node {node!r} in metric {metric!r}")
-        return _window_ecc(sub, node, start)
-    raise InputError(f"unknown metric {metric!r}; use tdiam, tc, or ecc:<node>")
 
 
 def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
@@ -65,20 +74,30 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
     discrete = isinstance(g, SnapshotSequence)
     if discrete:
         width, step = int(width), int(step)
-        lo: Time = 0
-        hi: Time = g.delta
+        lo, hi = 0, g.delta
     else:
         width, step = as_time(width), as_time(step)
         lo, hi = lifetime(g)
     if width <= 0 or step <= 0:
         raise RangeError("window width and step must be positive")
-    points = []
+    starts = []
     s = lo
     while s + width <= hi:
-        sub = temporal_subgraph(g, (s, s + width))
-        start: Time = 0 if discrete else s
-        points.append((s, _window_value(sub, metric, start)))
+        starts.append(s)
         s = s + step
-    if not points:
+    if not starts:
         raise RangeError(f"no window of width {width} fits the lifetime [{lo}, {hi})")
-    return WindowSeries(metric, width, step, tuple(points))
+    node = metric.split(":", 1)[1] if metric.startswith("ecc:") else None
+    if node is not None and node not in g.nodes:
+        raise InputError(f"unknown node {node!r} in metric {metric!r}")
+    if node is None and metric not in METRICS:
+        raise InputError(f"unknown metric {metric!r}; use tdiam, tc, or ecc:<node>")
+    if discrete:
+        q = _shortest_passing(g, node)
+        values = [q[s] - 1 if q[s] <= width else math.inf for s in starts]
+    else:
+        sources = sorted(g.nodes) if node is None else [node]
+        values = [_window_ecc(temporal_subgraph(g, (s, s + width)), sources, s) for s in starts]
+    if metric == "tc":
+        values = [int(v != math.inf) for v in values]
+    return WindowSeries(metric, width, step, tuple(zip(starts, values)))

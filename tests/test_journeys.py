@@ -1,5 +1,6 @@
 """Journey validity and the optimal-journey searches."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -273,3 +274,40 @@ def test_disjoint_never_exceeds_separator_bound(seq, kind):
                 assert dj == sep
             else:
                 assert dj <= sep
+
+
+@settings(deadline=None)
+@given(sequences(max_n=6, max_delta=4), KINDS)
+def test_disjoint_and_separator_match_bruteforce(seq, kind):
+    nodes = sorted(seq.nodes)
+
+    def connected(s, t, keep):
+        sub = oracles.induced(seq, set(keep) | {s, t})
+        return any(v == t for v, _ in oracles.reach_states(sub, s, 0, kind))
+
+    for s, t in itertools.permutations(nodes, 2):
+        internal = [v for v in nodes if v not in (s, t)]
+        if connected(s, t, ()):
+            separator = INF
+        else:
+            separator = min(
+                size
+                for size in range(len(internal) + 1)
+                for cut in itertools.combinations(internal, size)
+                if not connected(s, t, set(internal) - set(cut))
+            )
+        assert min_temporal_separator(seq, s, t, kind) == separator
+        interiors = {
+            frozenset(v for _, v, _ in j[:-1])
+            for j in oracles.simple_journeys(seq, s, t, kind)
+        }
+        if frozenset() in interiors:
+            disjoint = INF
+        else:
+            disjoint = max(
+                size
+                for size in range(len(internal) + 1)
+                for family in itertools.combinations(interiors, size)
+                if all(not a & b for a, b in itertools.combinations(family, 2))
+            )
+        assert max_disjoint_journeys(seq, s, t, kind) == disjoint

@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from conftest import seq_of
-from tempnet.core import IntervalGraph
+from strategies import dense_sequences
+from tempnet.core import IntervalGraph, SnapshotSequence
 from tempnet.errors import InputError, RangeError
 from tempnet.windows import WindowSeries, sliding_metric
 
@@ -43,6 +46,43 @@ def test_ecc_metric_tracks_one_node(weekly_line):
     # from a week boundary the chain lands at f on relative day 5
     assert series.points[0] == (0, 5)
     assert all(v <= 11 for _, v in series.points)
+
+
+@settings(deadline=None)
+@given(dense_sequences(min_n=1, max_n=6, max_delta=10))
+def test_discrete_series_match_per_window_bruteforce(seq):
+    # ecc[s, e, u]: latest foremost arrival from u inside [s, e), relative to s
+    nodes = sorted(seq.nodes)
+    ecc = {}
+    for s in range(seq.delta):
+        for e in range(s + 1, seq.delta + 1):
+            window = SnapshotSequence(seq.nodes, seq.snapshots[s:e])
+            for u in nodes:
+                best = oracles.brute_foremost(window, u, 0, "strict")
+                arrivals = [best.get(v) for v in nodes if v != u]
+                ecc[s, e, u] = math.inf if None in arrivals else max(arrivals, default=0)
+    for width in range(1, seq.delta + 1):
+        for step in (1, 2, 3):
+            starts = range(0, seq.delta - width + 1, step)
+            expected = {
+                f"ecc:{u}": [ecc[s, s + width, u] for s in starts] for u in nodes
+            }
+            expected["tdiam"] = [
+                max(ecc[s, s + width, u] for u in nodes) for s in starts
+            ]
+            expected["tc"] = [int(d != math.inf) for d in expected["tdiam"]]
+            for metric, values in expected.items():
+                series = sliding_metric(seq, metric, width, step)
+                assert series.points == tuple(zip(starts, values)), (metric, width, step)
+
+
+@pytest.mark.parametrize("g", [
+    SnapshotSequence(frozenset(), (frozenset(), frozenset())),
+    IntervalGraph.build([], {}, span=(0, 2)),
+])
+def test_trace_without_nodes_is_connected(g):
+    assert [v for _, v in sliding_metric(g, "tc", 1, 1).points] == [1, 1]
+    assert [v for _, v in sliding_metric(g, "tdiam", 1, 1).points] == [0, 0]
 
 
 def test_metric_validation(weekly_line):
