@@ -42,7 +42,7 @@ def load_graph(data) -> TemporalGraph:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("trace JSON must be an object")
@@ -202,7 +202,7 @@ def journey_from_json(data, latency=None):
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from exc
     try:
         hops = tuple((u, v, as_time(t)) for u, v, t in data["hops"])

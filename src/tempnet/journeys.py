@@ -30,6 +30,8 @@ from .core import (
     TemporalGraph,
     Time,
     _check_kind,
+    _hop_rows,
+    _mask_bits,
     _node_index,
     _reach_masks,
     as_time,
@@ -463,10 +465,15 @@ def fastest_journey(
 ) -> Optional[Journey]:
     """Smallest-duration journey departing within [window_lo, window_hi].
 
-    Sweeps candidate departure times and evaluates each via earliest-arrival
-    plus latest-departure; ties go to the earlier departure.
+    Ties go to the earlier departure.  On a snapshot sequence one scan over
+    the snapshots keeps, per node, the latest first-hop time of any journey
+    from u that has reached it (every such journey can wait there), so v's
+    best (arrival - departure, departure) is read off as it is reached.
+    Interval graphs sweep candidate departure times and evaluate each via
+    earliest-arrival plus latest-departure.  The journey itself is rebuilt
+    by one earliest-arrival search from the chosen departure.
     """
-    _check_kind(kind)
+    strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     discrete = isinstance(g, SnapshotSequence)
@@ -476,12 +483,28 @@ def fastest_journey(
         lo, hi = lifetime(g)
         window = (lo, hi) if not discrete else (0, g.delta - 1)
     wlo, whi = window
+    best: Optional[tuple[Time, Time]] = None  # (duration, departure)
     if discrete:
         wlo, whi = max(int(wlo), 0), min(int(whi), g.delta - 1)
-        cands = sorted({
-            s for e in g.presence_times if u in e
-            for s in g.presence_times[e] if wlo <= s <= whi
-        })
+        bit = _node_index(g.nodes)[1]
+        ui, vi = bit[u], bit[v]
+        dep = [-1] * len(bit)  # latest first-hop time of a journey that reached each node
+        for t in range(wlo, g.delta):
+            pre = list(dep)  # hops in snapshot t extend journeys as they stood before it
+            if t <= whi:
+                pre[ui] = t  # u may leave at t; dep[ui] moves only when a journey returns
+            if strict:
+                for a, b in g.snapshots[t]:
+                    i, j = bit[a], bit[b]
+                    dep[i], dep[j] = max(dep[i], pre[j]), max(dep[j], pre[i])
+            else:
+                for comp in set(_hop_rows(g.nodes, g.snapshots[t], False)):
+                    if comp & (comp - 1):  # a lone node takes no hop
+                        top = max(pre[i] for i in _mask_bits(comp))
+                        for i in _mask_bits(comp):
+                            dep[i] = top
+            if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
+                best = (t - dep[vi], dep[vi])
     else:
         wlo, whi = as_time(wlo), as_time(whi)
         lo, hi = lifetime(g)
@@ -493,17 +516,16 @@ def fastest_journey(
             for k in range(n + 2)
             if wlo <= d - k * g.latency <= whi
         })
-    best: Optional[tuple[Time, Time]] = None  # (duration, departure)
-    for d in cands:
-        table = earliest_arrival(g, u, d, kind, dep_hi=whi)
-        if v not in table.arrival:
-            break  # departing even later cannot help
-        arr = table.arrival[v]
-        dstar = latest_departure(g, u, v, arr, kind, src_cap=whi)
-        assert dstar is not None and dstar >= d
-        cand = (arr - dstar, dstar)
-        if best is None or cand < best:
-            best = cand
+        for d in cands:
+            table = earliest_arrival(g, u, d, kind, dep_hi=whi)
+            if v not in table.arrival:
+                break  # departing even later cannot help
+            arr = table.arrival[v]
+            dstar = latest_departure(g, u, v, arr, kind, src_cap=whi)
+            assert dstar is not None and dstar >= d
+            cand = (arr - dstar, dstar)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return None
     journey = earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)

@@ -72,11 +72,14 @@ def _window_ecc(sub: TemporalGraph, sources, start: Time) -> Time:
 def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
     """Evaluate a metric over windows [s, s+width) stepping by ``step``."""
     discrete = isinstance(g, SnapshotSequence)
+    width, step = as_time(width), as_time(step)
     if discrete:
+        for x in (width, step):
+            if x.denominator != 1:
+                raise RangeError(f"window width and step must be whole snapshots, got {x}")
         width, step = int(width), int(step)
         lo, hi = 0, g.delta
     else:
-        width, step = as_time(width), as_time(step)
         lo, hi = lifetime(g)
     if width <= 0 or step <= 0:
         raise RangeError("window width and step must be positive")

@@ -72,6 +72,23 @@ def reach_states(seq, src, t0, kind):
     return states
 
 
+def brute_fastest(seq, src, dst, kind, wlo, whi):
+    """Least (duration, departure) over walks src -> dst whose first hop lies
+    in [wlo, whi]; None when there is none.
+
+    Each first hop (src, y, d) is followed by every state reachable from y
+    just after it, so walks may pass through src again.
+    """
+    best = None
+    for d in range(max(wlo, 0), min(whi, seq.delta - 1) + 1):
+        for y, s in hop_options(seq, src, d, d):
+            after = reach_states(seq, y, d + 1 if kind == "strict" else d, kind)
+            for x, t in after | {(y, d)}:
+                if x == dst and (best is None or (t - d, d) < best):
+                    best = (t - d, d)
+    return best
+
+
 def brute_closure_arcs(seq, kind):
     """(u, v) arcs with u != v and some journey u ~> v over the lifetime."""
     arcs = set()

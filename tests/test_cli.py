@@ -217,6 +217,32 @@ def test_windows_csv(capsys, trace_file, weekly_line):
     assert out == "start,value\n0,1\n7,1\n\n" or out.startswith("start,value\n0,1\n7,1\n")
 
 
+@pytest.mark.parametrize("width,step,bad", [("5/2", "1", "5/2"), ("1/2", "1", "1/2"), ("2", "1/2", "1/2")])
+def test_windows_rejects_fractional_snapshot_counts(capsys, trace_file, journey_fig, width, step, bad):
+    code = main([
+        "windows", trace_file(journey_fig), "--metric", "tc", "--width", width, "--step", step,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"tempnet: error: window width and step must be whole snapshots, got {bad}\n"
+    )
+
+
+def test_deeply_nested_json_exit_1(capsys, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    trace = tmp_path / "deep.json"
+    trace.write_text('{"format":"snapshots","nodes":' + deep + ',"snapshots":[]}')
+    hops = tmp_path / "hops.json"
+    hops.write_text('{"kind":"strict","hops":' + deep + "}")
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"format":"snapshots","nodes":["a","b"],"snapshots":[[["a","b"]]]}')
+    for argv in (["stats", str(trace)], ["journey", str(ok), "--mode", "validate", "--journey", str(hops)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tempnet: error: not valid JSON") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_exit_code_1_on_bad_input(capsys, tmp_path):
     assert main(["stats", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

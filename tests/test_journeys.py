@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import seq_of
@@ -174,6 +175,38 @@ def test_fastest_matches_bruteforce(seq, kind):
             want = min((j[-1][2] - j[0][2], j[0][2]) for j in js)
             assert (got.duration, got.departure) == want
             assert validate_journey(seq, got)
+
+
+@given(sequences(max_delta=6), KINDS, st.integers(-1, 7), st.integers(-1, 7))
+def test_windowed_fastest_matches_walk_oracle(seq, kind, wlo, whi):
+    nodes = sorted(seq.nodes)
+    for u in nodes:
+        for v in nodes:
+            if u == v:
+                continue
+            got = fastest_journey(seq, u, v, window=(wlo, whi), kind=kind)
+            want = oracles.brute_fastest(seq, u, v, kind, wlo, whi)
+            if want is None:
+                assert got is None
+                continue
+            assert (got.duration, got.departure) == want
+            assert validate_journey(seq, got)
+            assert wlo <= got.departure <= whi
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_fastest_window_forces_walk_back_through_source(kind):
+    # the only departure in the window leaves u and returns before u-v opens
+    seq = seq_of("uav", ["ua"], ["ua"], [], [], [], ["uv"])
+    got = fastest_journey(seq, "u", "v", window=(0, 0), kind=kind)
+    assert (got.duration, got.departure) == (5, 0)
+    assert got.hops[-1] == ("u", "v", 5) and validate_journey(seq, got)
+    late = fastest_journey(seq, "u", "v", window=(1, 4), kind=kind)
+    if kind == "strict":
+        assert late is None  # leaving at 1 leaves no time to come back
+    else:
+        assert (late.duration, late.departure) == (4, 1)
+    assert fastest_journey(seq, "u", "v", window=(2, 4), kind=kind) is None
 
 
 def test_distance_fig_three_optima(distance_fig):

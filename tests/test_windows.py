@@ -101,6 +101,12 @@ def test_window_geometry_validation(weekly_line):
         sliding_metric(weekly_line, "tc", weekly_line.delta + 1, 1)
 
 
+@pytest.mark.parametrize("width,step", [(Fraction(5, 2), 1), (Fraction(-1, 2), 1), (2, "1/2")])
+def test_fractional_snapshot_counts_are_rejected(weekly_line, width, step):
+    with pytest.raises(RangeError, match="whole snapshots, got -?[15]/2$"):
+        sliding_metric(weekly_line, "tc", width, step)
+
+
 def test_continuous_series_and_csv_are_exact():
     g = IntervalGraph.build(
         "abc",
