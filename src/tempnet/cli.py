@@ -98,13 +98,6 @@ def _limit(args) -> dict:
     return {"limit_n": args.limit_n or None}
 
 
-def _parse_time(text, g):
-    t = as_time(text)
-    if isinstance(g, SnapshotSequence) and t.denominator == 1:
-        return int(t)
-    return t
-
-
 def _cmd_stats(args):
     g = _load_trace(args)
     s = stats(g)
@@ -207,7 +200,7 @@ def _cmd_journey(args):
     if mode == "foremost":
         if args.at is None:
             raise InputError("--at required for foremost")
-        table = earliest_arrival(g, args.src, _parse_time(args.at, g), kind=args.kind)
+        table = earliest_arrival(g, args.src, as_time(args.at), kind=args.kind)
         if args.dst:
             out = _journey_payload(g, table.journey_to(args.dst))
             out["arrival"] = format_time(table.arrival.get(args.dst, math.inf))
@@ -222,16 +215,16 @@ def _cmd_journey(args):
     if mode == "shortest":
         if args.at is None:
             raise InputError("--at required for shortest")
-        j = shortest_journey(g, args.src, args.dst, _parse_time(args.at, g), kind=args.kind)
+        j = shortest_journey(g, args.src, args.dst, as_time(args.at), kind=args.kind)
         return _journey_payload(g, j)
     if mode == "fastest":
-        window = tuple(_parse_time(x, g) for x in args.window) if args.window else None
+        window = tuple(as_time(x) for x in args.window) if args.window else None
         j = fastest_journey(g, args.src, args.dst, window=window, kind=args.kind)
         return _journey_payload(g, j)
     if mode == "latest-departure":
         if args.at is None:
             raise InputError("--at required for latest-departure")
-        value = latest_departure(g, args.src, args.dst, _parse_time(args.at, g), kind=args.kind)
+        value = latest_departure(g, args.src, args.dst, as_time(args.at), kind=args.kind)
         return {"value": format_time(value) if value is not None else None}
     if mode in ("disjoint", "separator"):
         fn = max_disjoint_journeys if mode == "disjoint" else min_temporal_separator

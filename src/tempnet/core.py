@@ -12,6 +12,11 @@ at ``s`` iff [s, s+zeta] is contained in the closure [a, b] of one of its
 presence intervals.  Snapshot indices are integers; node sets never change;
 edges are undirected and self-loops are rejected.
 
+A sequence is also an interval graph on integer ticks: snapshot i is
+presence over [i, i+1) with latency 1.  Its cached ``_ticks`` view holds
+that graph with plain ``int`` times; the journey kernels run on it, and
+:func:`to_intervals` returns it with exact ``Fraction`` times.
+
 All types are immutable after construction and safe for concurrent reads.
 """
 
@@ -219,13 +224,22 @@ class SnapshotSequence:
         return StaticGraph(self.nodes, self.snapshots[t])
 
     @cached_property
-    def presence_times(self) -> dict[Edge, tuple[int, ...]]:
-        """For each footprint edge, the sorted snapshot indices where it is present."""
-        times: dict[Edge, list[int]] = {}
+    def _ticks(self) -> IntervalGraph:
+        """The sequence on integer ticks: snapshot i is presence over [i, i+1), latency 1.
+
+        Consecutive snapshots merge into one run, and every time is a plain
+        int, so the interval kernels run on it without Fraction arithmetic.
+        """
+        runs: dict[Edge, list[list[int]]] = {}
         for i, g in enumerate(self.snapshots):
             for e in g:
-                times.setdefault(e, []).append(i)
-        return {e: tuple(ts) for e, ts in times.items()}
+                ivs = runs.setdefault(e, [])
+                if ivs and ivs[-1][1] == i:
+                    ivs[-1][1] = i + 1
+                else:
+                    ivs.append([i, i + 1])
+        edges = {e: tuple(map(tuple, ivs)) for e, ivs in runs.items()}
+        return IntervalGraph(self.nodes, edges, 1, (0, self.delta))
 
 
 Intervals = tuple[tuple[Fraction, Fraction], ...]
@@ -464,16 +478,7 @@ def stats(g: TemporalGraph) -> TraceStats:
 
 def to_intervals(seq: SnapshotSequence, latency=1) -> IntervalGraph:
     """Continuous representation: snapshot i becomes presence over [i, i+1)."""
-    edges: dict[Edge, list[tuple[int, int]]] = {}
-    for e, times in seq.presence_times.items():
-        ivs: list[tuple[int, int]] = []
-        for t in times:
-            if ivs and ivs[-1][1] == t:
-                ivs[-1] = (ivs[-1][0], t + 1)
-            else:
-                ivs.append((t, t + 1))
-        edges[e] = ivs
-    return IntervalGraph.build(seq.nodes, edges, latency=latency, span=(0, seq.delta))
+    return IntervalGraph.build(seq.nodes, seq._ticks.edges, latency, seq._ticks.span)
 
 
 def to_snapshots(g: IntervalGraph) -> SnapshotSequence:

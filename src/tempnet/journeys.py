@@ -11,7 +11,8 @@ desk-scale disjoint-journey and separator brute forces.
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
 departing at or after t+1 ("just after t"); ``earliest_arrival`` itself takes
-the inclusive departure bound t0.  Continuous arrival is t_k + zeta.
+the inclusive departure bound t0.  Discrete time and window arguments must
+be integers; a fraction raises RangeError.  Continuous arrival is t_k + zeta.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,7 +37,6 @@ from .core import (
     as_time,
     characteristic_dates,
     edge,
-    footprint,
     lifetime,
     supports_hop,
     temporal_subgraph,
@@ -50,6 +49,14 @@ INF = math.inf
 def _check_node(g: TemporalGraph, v: str):
     if v not in g.nodes:
         raise InputError(f"unknown node {v!r}")
+
+
+def _tick(t: Time, what: str) -> int:
+    """A discrete time or window argument as an int; fractions are rejected."""
+    t = as_time(t)
+    if t.denominator != 1:
+        raise RangeError(f"discrete {what} must be an integer, got {t}")
+    return int(t)
 
 
 @dataclass(frozen=True)
@@ -99,33 +106,25 @@ class Journey:
 def validate_journey(g: TemporalGraph, j: Journey) -> bool:
     """True iff j is a valid journey of its kind in g."""
     strict = _check_kind(j.kind)
-    fp = footprint(g)
+    discrete = isinstance(g, SnapshotSequence)
+    ig = g._ticks if discrete else g
     for u, v, _ in j.hops:
         _check_node(g, u)
         _check_node(g, v)
-        if edge(u, v) not in fp.edges:
+        if edge(u, v) not in ig.edges:
             raise InputError(f"edge {u!r}-{v!r} never present in the trace")
     for i in range(len(j.hops) - 1):
         if j.hops[i][1] != j.hops[i + 1][0]:
             return False  # not a walk
-    if isinstance(g, SnapshotSequence):
-        times = []
-        for u, v, t in j.hops:
-            t = as_time(t)
-            if t.denominator != 1 or not 0 <= t < g.delta:
-                return False
-            if edge(u, v) not in g.snapshots[int(t)]:
-                return False
-            times.append(int(t))
-        step = 1 if strict else 0
-        return all(t2 - t1 >= step for t1, t2 in zip(times, times[1:]))
+    if discrete and any(as_time(t).denominator != 1 for _, _, t in j.hops):
+        return False  # on ticks, a hop at 1/2 would fit inside a run
     times = []
     for u, v, t in j.hops:
         t = as_time(t)
-        if not supports_hop(g, edge(u, v), t):
+        if not supports_hop(ig, edge(u, v), t):
             return False
         times.append(t)
-    sep = g.latency if strict else 0
+    sep = ig.latency if strict else 0
     return all(t2 - t1 >= sep for t1, t2 in zip(times, times[1:]))
 
 
@@ -171,89 +170,33 @@ def earliest_arrival(
 
     arrival[v] is minimal; ties are broken by fewer hops, then by node id, so
     parent maps are deterministic.  Unreachable nodes are simply absent.
+    Both models share one kernel: a snapshot sequence runs on its integer
+    ticks (t0 and dep_hi must be integers), and an arrival by tick t + 1 is
+    reported as arrival by snapshot t.
     """
     _check_kind(kind)
     _check_node(g, src)
     if isinstance(g, SnapshotSequence):
-        if isinstance(t0, Fraction):
-            if t0.denominator != 1:
-                raise RangeError(f"discrete start time must be an integer, got {t0}")
-            t0 = int(t0)
+        t0 = _tick(t0, "start time")
         if not 0 <= t0 <= g.delta:
             raise RangeError(f"start time {t0} outside 0..{g.delta}")
         if dep_hi is not None:
-            dep_hi = int(dep_hi)
-        return _ea_discrete(g, src, t0, kind, dep_hi)
+            dep_hi = _tick(dep_hi, "departure bound")
+        table = _foremost(g._ticks, src, t0, kind, dep_hi)
+        # an arrival by tick t + 1 is an arrival by snapshot t
+        arrival = {v: t - 1 for v, t in table.arrival.items()}
+        arrival[src] = t0
+        return replace(table, latency=None, arrival=arrival)
     t0 = as_time(t0)
     lo, hi = lifetime(g)
     if not lo <= t0 <= hi:
         raise RangeError(f"start time {t0} outside lifetime [{lo}, {hi}]")
     if dep_hi is not None:
         dep_hi = as_time(dep_hi)
-    return _ea_continuous(g, src, t0, kind, dep_hi)
+    return _foremost(g, src, t0, kind, dep_hi)
 
 
-def _ea_discrete(seq, src, t0, kind, dep_hi):
-    strict = kind == "strict"
-    delta = seq.delta
-    win_hi = delta - 1 if dep_hi is None else min(dep_hi, delta - 1)
-    arrival: dict[str, int] = {}  # >=1-hop arrivals; includes src re-entries
-    parent: dict[str, tuple[str, int]] = {}
-    hcount: dict[str, int] = {}
-
-    def base(x: str, t: int) -> Optional[int]:
-        # best hop-count base if x may take a hop at time t, else None
-        b = None
-        if x == src and t0 <= t <= win_hi:
-            b = 0
-        a = arrival.get(x)
-        if a is not None and (t > a if strict else t >= a):
-            h = hcount[x]
-            if b is None or h < b:
-                b = h
-        return b
-
-    for t in range(max(t0, 0), delta):
-        snap = seq.snapshots[t]
-        if strict:
-            cand: dict[str, tuple[int, str]] = {}
-            for u, v in sorted(snap):
-                for x, y in ((u, v), (v, u)):
-                    b = base(x, t)
-                    if b is None or y in arrival:
-                        continue
-                    c = (b + 1, x)
-                    if y not in cand or c < cand[y]:
-                        cand[y] = c
-            for y, (h, x) in cand.items():
-                arrival[y] = t
-                parent[y] = (x, t)
-                hcount[y] = h
-        else:
-            adj: dict[str, list[str]] = {}
-            for u, v in snap:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            heap = []
-            for x in sorted(adj):
-                b = base(x, t)
-                if b is not None:
-                    heapq.heappush(heap, (b, x))
-            while heap:
-                h, x = heapq.heappop(heap)
-                for y in sorted(adj.get(x, ())):
-                    if y in arrival:
-                        continue
-                    arrival[y] = t
-                    parent[y] = (x, t)
-                    hcount[y] = h + 1
-                    heapq.heappush(heap, (h + 1, y))
-    out_arrival = dict(arrival)
-    out_arrival[src] = t0
-    return ReachabilityTable(src, t0, kind, None, out_arrival, parent, hcount, dep_hi)
-
-
-def _ea_continuous(ig, src, t0, kind, dep_hi):
+def _foremost(ig, src, t0, kind, dep_hi):
     strict = kind == "strict"
     zeta = ig.latency
     arrival: dict[str, Fraction] = {}
@@ -291,7 +234,7 @@ def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -
     """arrival - t for journeys leaving just after t (discrete: departures >= t+1)."""
     _check_node(g, u)
     if isinstance(g, SnapshotSequence):
-        t = int(t)
+        t = _tick(t, "time")
         if not 0 <= t < g.delta:
             raise RangeError(f"time {t} outside 0..{g.delta - 1}")
         table = earliest_arrival(g, u, t + 1, kind)
@@ -327,34 +270,30 @@ def latest_departure(
 ) -> Optional[Time]:
     """Max departure time of a journey u ~> v arriving by t (the temporal view).
 
-    src_cap additionally bounds the first hop (used by the fastest sweep).
+    Both models share one kernel: a snapshot sequence runs on its integer
+    ticks (t must be an integer), where arriving by snapshot t is arriving
+    by tick t + 1 and departures are the same.  src_cap additionally bounds
+    the first hop (used by the fastest sweep).
     """
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
+    discrete = isinstance(g, SnapshotSequence)
+    t = _tick(t, "time") if discrete else as_time(t)
     if u == v:
         return t
-    discrete = isinstance(g, SnapshotSequence)
+    if src_cap is not None:
+        src_cap = _tick(src_cap, "departure bound") if discrete else as_time(src_cap)
     if discrete:
-        t = int(t)
-        target_label = t + 1 if strict else t
-        step = 1 if strict else 0
-        presence = g.presence_times
-        adjacency = footprint(g).adjacency
-    else:
-        t = as_time(t)
-        zeta = g.latency
-        target_label = t if strict else t - zeta
-        step = zeta if strict else Fraction(0)
-        incident = g.incident
+        g, t = g._ticks, t + 1
+    zeta = g.latency
+    target_label = t if strict else t - zeta
+    step = zeta if strict else 0
+    incident = g.incident
 
-    def best_dep(x: str, y: str, cap) -> Optional[Time]:
-        # latest time <= cap at which x can hop to y
-        if discrete:
-            times = presence.get(edge(x, y), ())
-            i = bisect_right(times, cap) - 1
-            return times[i] if i >= 0 else None
-        for a, b in reversed(dict(incident[x])[y]):
+    def best_dep(ivs, cap) -> Optional[Time]:
+        # latest time <= cap at which the edge can carry a hop
+        for a, b in reversed(ivs):
             s = min(b - zeta, cap)
             if s >= a:
                 return s
@@ -370,22 +309,20 @@ def latest_departure(
         lab = -neg
         labels[y] = lab
         cap = lab - step
-        neigh = adjacency[y] if discrete else [w for w, _ in incident[y]]
-        for x in neigh:
+        for x, ivs in incident[y]:
             if x in labels:
                 continue
-            s = best_dep(x, y, cap)
+            s = best_dep(ivs, cap)
             if s is not None and (x not in pending or s > pending[x]):
                 pending[x] = s
                 heapq.heappush(heap, (-s, x))
     if src_cap is None:
         return labels.get(u)
     best: Optional[Time] = None
-    neigh = adjacency[u] if discrete else [w for w, _ in incident[u]]
-    for y in neigh:
+    for y, ivs in incident[u]:
         if y not in labels:
             continue
-        s = best_dep(u, y, min(labels[y] - step, as_time(src_cap)))
+        s = best_dep(ivs, min(labels[y] - step, src_cap))
         if s is not None and (best is None or s > best):
             best = s
     return best
@@ -398,31 +335,22 @@ def shortest_journey(
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
-    if u == v:
-        return Journey((), kind, None if isinstance(g, SnapshotSequence) else g.latency)
-    discrete = isinstance(g, SnapshotSequence)
-    if discrete:
-        t0 = int(t0)
-        presence = g.presence_times
-        latency = None
+    if isinstance(g, SnapshotSequence):
+        latency, t0, g = None, _tick(t0, "start time"), g._ticks
     else:
-        t0 = as_time(t0)
-        zeta = g.latency
-        latency = zeta
+        latency, t0 = g.latency, as_time(t0)
+    if u == v:
+        return Journey((), kind, latency)
+    zeta = g.latency
 
-    def first_dep(x, y, lb) -> Optional[Time]:
-        # earliest time >= lb at which x can hop to y
-        if discrete:
-            times = presence.get(edge(x, y), ())
-            i = bisect_right(times, lb - 1)
-            return times[i] if i < len(times) else None
-        for a, b in dict(g.incident[x])[y]:
+    def first_dep(ivs, lb) -> Optional[Time]:
+        # earliest time >= lb at which the edge can carry a hop
+        for a, b in ivs:
             s = max(lb, a)
             if s + zeta <= b:
                 return s
         return None
 
-    fp = footprint(g)
     layer: dict[str, Time] = {u: t0}  # node -> earliest arrival using exactly h hops
     back: dict[tuple[str, int], tuple[str, Time]] = {}
     n = len(g.nodes)
@@ -430,15 +358,12 @@ def shortest_journey(
         nxt: dict[str, Time] = {}
         for x in sorted(layer):
             arr = layer[x]
-            if discrete:
-                lb = arr if (h == 1 or not strict) else arr + 1
-            else:
-                lb = arr if (h == 1 or strict) else arr - zeta
-            for y in sorted(fp.adjacency[x]):
-                s = first_dep(x, y, lb)
+            lb = arr if (h == 1 or strict) else arr - zeta
+            for y, ivs in g.incident[x]:
+                s = first_dep(ivs, lb)
                 if s is None:
                     continue
-                arr_y = s if discrete else s + zeta
+                arr_y = s + zeta
                 if y not in nxt or arr_y < nxt[y]:
                     nxt[y] = arr_y
                     back[(y, h)] = (x, s)
@@ -485,7 +410,7 @@ def fastest_journey(
     wlo, whi = window
     best: Optional[tuple[Time, Time]] = None  # (duration, departure)
     if discrete:
-        wlo, whi = max(int(wlo), 0), min(int(whi), g.delta - 1)
+        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta - 1)
         bit = _node_index(g.nodes)[1]
         ui, vi = bit[u], bit[v]
         dep = [-1] * len(bit)  # latest first-hop time of a journey that reached each node
@@ -597,7 +522,7 @@ def steady_progress_alpha(
         nodes = sorted(g.nodes)
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
     if discrete:
-        wlo, whi = max(int(wlo), 0), min(int(whi), g.delta)
+        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta)
         span = whi - wlo
         if span <= 0:
             raise RangeError(f"empty window [{wlo}, {whi})")

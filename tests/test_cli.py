@@ -228,6 +228,17 @@ def test_windows_rejects_fractional_snapshot_counts(capsys, trace_file, journey_
     )
 
 
+@pytest.mark.parametrize("args,error", [
+    (["fastest", "--to", "c", "--window", "1/2", "3"], "discrete window bound must be an integer, got 1/2"),
+    (["shortest", "--to", "c", "--at", "1/2"], "discrete start time must be an integer, got 1/2"),
+    (["latest-departure", "--to", "c", "--at=-1/2"], "discrete time must be an integer, got -1/2"),
+])
+def test_journey_rejects_fractional_discrete_times(capsys, trace_file, journey_fig, args, error):
+    # a-c is present at 0, which int() truncation used to return for 1/2
+    assert main(["journey", trace_file(journey_fig), "--from", "a", "--mode", *args]) == 1
+    assert capsys.readouterr().err == f"tempnet: error: {error}\n"
+
+
 def test_deeply_nested_json_exit_1(capsys, tmp_path):
     deep = "[" * 100_000 + "]" * 100_000
     trace = tmp_path / "deep.json"

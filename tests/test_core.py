@@ -77,10 +77,15 @@ def test_sequence_validation_and_indexing():
         SnapshotSequence(frozenset("ab"), ())
 
 
-def test_presence_times_are_sorted_per_edge():
-    seq = seq_of("abc", ["ab"], ["bc"], ["ab"])
-    assert seq.presence_times[("a", "b")] == (0, 2)
-    assert seq.presence_times[("b", "c")] == (1,)
+def test_ticks_merge_consecutive_snapshots_into_int_runs():
+    seq = seq_of("abc", ["ab"], ["ab", "bc"], ["ab"], [], ["ab"])
+    ticks = seq._ticks
+    assert ticks.edges == {("a", "b"): ((0, 3), (4, 5)), ("b", "c"): ((1, 2),)}
+    assert ticks.span == (0, 5) and ticks.latency == 1
+    assert ticks.nodes == seq.nodes
+    assert all(type(x) is int for ivs in ticks.edges.values() for iv in ivs for x in iv)
+    assert type(ticks.latency) is int
+    assert seq._ticks is ticks  # cached on the sequence
 
 
 def test_interval_normalization_merges_touching_presences():

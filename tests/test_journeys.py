@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import seq_of
 from strategies import KINDS, sequences
+from tempnet.core import to_intervals
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.journeys import (
     INF,
@@ -60,6 +61,8 @@ def test_validate_discrete(journey_fig):
     assert not validate_journey(journey_fig, Journey(same_step.hops, "strict", None))
     # edge exists in the footprint but not at that time
     assert not validate_journey(journey_fig, Journey((("a", "b", 0),), "strict", None))
+    # c-d is present over snapshots 0..2, but no hop falls between them
+    assert not validate_journey(journey_fig, Journey((("c", "d", Fraction(1, 2)),), "strict", None))
     # endpoints must chain
     broken = Journey((("a", "c", 0), ("d", "e", 2)), "strict", None)
     assert not validate_journey(journey_fig, broken)
@@ -95,6 +98,37 @@ def test_earliest_arrival_matches_bruteforce(seq, kind):
                 assert j.departure >= t0 and j.arrival == got[v]
 
 
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_foremost_tie_break_is_hops_then_node_id(kind):
+    # d: parents a (2 hops) and z (1 hop) tie on arrival 2, so fewer hops wins
+    # over the smaller id; e: parents b and c tie on arrival and hops, so b;
+    # f: s may only leave at 0, so f is reached through a re-entry of s
+    seq = seq_of("sabcdefyz", ["sz", "sb", "sc", "zy"], ["ab", "zy"],
+                 ["ad", "dz", "be", "ce"], ["es"], ["sf"])
+    table = earliest_arrival(seq, "s", 0, kind, dep_hi=0)
+    if kind == "strict":
+        assert table.arrival == {"s": 0, "z": 0, "b": 0, "c": 0, "a": 1, "y": 1,
+                                 "d": 2, "e": 2, "f": 4}
+        assert table.parent == {"z": ("s", 0), "b": ("s", 0), "c": ("s", 0),
+                                "a": ("b", 1), "y": ("z", 1), "d": ("z", 2),
+                                "e": ("b", 2), "s": ("e", 3), "f": ("s", 4)}
+        assert table.hops == {"z": 1, "b": 1, "c": 1, "a": 2, "y": 2, "d": 2,
+                              "e": 2, "s": 3, "f": 4}
+        back = (("s", "b", 0), ("b", "e", 2), ("e", "s", 3), ("s", "f", 4))
+    else:
+        # non-strict, s re-enters at once by bouncing off b within snapshot 0
+        assert table.arrival == {"s": 0, "z": 0, "b": 0, "c": 0, "y": 0, "a": 1,
+                                 "d": 2, "e": 2, "f": 4}
+        assert table.parent == {"z": ("s", 0), "b": ("s", 0), "c": ("s", 0),
+                                "s": ("b", 0), "y": ("z", 0), "a": ("b", 1),
+                                "d": ("z", 2), "e": ("b", 2), "f": ("s", 4)}
+        assert table.hops == {"z": 1, "b": 1, "c": 1, "s": 2, "y": 2, "a": 2,
+                              "d": 2, "e": 2, "f": 3}
+        back = (("s", "b", 0), ("b", "s", 0), ("s", "f", 4))
+    j = table.journey_to("f")
+    assert j.hops == back and validate_journey(seq, j)
+
+
 @given(sequences(max_n=4, max_delta=4), KINDS)
 def test_departure_window_is_respected(seq, kind):
     for src in sorted(seq.nodes):
@@ -105,6 +139,46 @@ def test_departure_window_is_respected(seq, kind):
             j = table.journey_to(v)
             assert j.departure == 0
             assert validate_journey(seq, j)
+
+
+@given(sequences(max_delta=6), KINDS, st.none() | st.integers(-1, 7))
+def test_sequence_journeys_match_their_interval_graph(seq, kind, dep_hi):
+    ig = to_intervals(seq)
+    nodes = sorted(seq.nodes)
+    for u in nodes:
+        for t0 in range(seq.delta + 1):
+            got = earliest_arrival(seq, u, t0, kind, dep_hi)
+            want = earliest_arrival(ig, u, t0, kind, dep_hi)
+            assert got.parent == want.parent and got.hops == want.hops
+            # an arrival by snapshot t is an arrival by time t + 1
+            assert got.arrival == {v: t if v == u else t - 1 for v, t in want.arrival.items()}
+            for v in nodes:
+                sj, sj_ig = shortest_journey(seq, u, v, t0, kind), shortest_journey(ig, u, v, t0, kind)
+                assert (sj and sj.hops) == (sj_ig and sj_ig.hops)
+        for v in nodes:
+            if v == u:
+                continue
+            for t in range(-1, seq.delta + 1):
+                assert latest_departure(seq, u, v, t, kind) == latest_departure(ig, u, v, t + 1, kind)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seq, t: earliest_arrival(seq, "a", t),
+    lambda seq, t: earliest_arrival(seq, "a", 0, dep_hi=t),
+    lambda seq, t: shortest_journey(seq, "a", "b", t),
+    lambda seq, t: fastest_journey(seq, "a", "b", window=(t, 3)),
+    lambda seq, t: fastest_journey(seq, "a", "b", window=(0, t)),
+    lambda seq, t: latest_departure(seq, "a", "b", t - 1),
+    lambda seq, t: latest_departure(seq, "a", "b", 3, src_cap=t),
+    lambda seq, t: temporal_distance(seq, "a", t),
+    lambda seq, t: steady_progress_alpha(seq, window=(t, 4)),
+], ids=["start", "dep_hi", "shortest", "fastest-lo", "fastest-hi", "latest",
+        "latest-cap", "distance", "alpha"])
+def test_discrete_times_must_be_integers(call):
+    seq = seq_of("abc", ["ab"], ["bc"], ["ab"], ["ac"])
+    assert call(seq, Fraction(1)) == call(seq, 1)  # integral fractions are fine
+    with pytest.raises(RangeError, match=r"must be an integer, got -?1/2"):
+        call(seq, Fraction(1, 2))
 
 
 def test_temporal_distance_conventions(weekly_line):
