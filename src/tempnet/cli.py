@@ -54,10 +54,10 @@ from .windows import sliding_metric
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input problems: exit 1, not argparse's default 2
+    # usage problems are input problems: exit 1 (not argparse's 2), one prefix for every verb
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"tempnet: error: {message}\n")
 
 
 def _jsonable(x):
@@ -134,7 +134,7 @@ def _cmd_convert(args):
 def _cmd_closure(args):
     seq = _as_sequence(_load_trace(args))
     if args.roundtrip:
-        window = tuple(int(x) for x in args.window) if args.window else None
+        window = tuple(as_time(x) for x in args.window) if args.window else None
         result = closure_mod.roundtrip_closure(seq, window=window, kind=args.kind)
     elif args.kind == "strict":
         result = closure_mod.strict_closure(seq)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .core import (
     SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _hop_rows, _mask_bits,
-    _node_index, _reach_masks, _union_rows, edge,
+    _node_index, _reach_masks, _tick, _union_rows, edge,
 )
 from .errors import ContractError, InputError
 
@@ -192,7 +192,7 @@ def roundtrip_closure(
     seq = _require_sequence(g)
     if window is None:
         window = (0, seq.delta)
-    start, end = int(window[0]), int(window[1])
+    start, end = _tick(window[0], "window bound"), _tick(window[1], "window bound")
     if not 0 <= start < end <= seq.delta:
         raise InputError(f"window [{start}, {end}) outside 0..{seq.delta}")
     acc = roundtrip_lift(seq.graph_at(start), start, kind)

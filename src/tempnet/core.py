@@ -158,6 +158,14 @@ def as_time(x) -> Fraction:
     raise InputError(f"not a time value: {x!r}")
 
 
+def _tick(t: Time, what: str) -> int:
+    """A discrete time or window argument as an int; fractions are rejected."""
+    t = as_time(t)
+    if t.denominator != 1:
+        raise RangeError(f"discrete {what} must be an integer, got {t}")
+    return int(t)
+
+
 @dataclass(frozen=True)
 class StaticGraph:
     """Plain undirected graph on named nodes."""
@@ -371,11 +379,7 @@ def intersection_graph(g: TemporalGraph) -> StaticGraph:
 def snapshot_at(g: TemporalGraph, t: Time) -> StaticGraph:
     """The static graph of edges present at instant t."""
     if isinstance(g, SnapshotSequence):
-        if isinstance(t, Fraction):
-            if t.denominator != 1:
-                raise RangeError(f"discrete snapshot index must be an integer, got {t}")
-            t = int(t)
-        return g.graph_at(t)
+        return g.graph_at(_tick(t, "snapshot index"))
     t = as_time(t)
     lo, hi = lifetime(g)
     if not lo <= t <= hi:
@@ -391,7 +395,7 @@ def temporal_subgraph(g: TemporalGraph, window: tuple[Time, Time]) -> TemporalGr
     """Presence restricted to [ta, tb); the node set is unchanged."""
     ta, tb = window
     if isinstance(g, SnapshotSequence):
-        a, b = int(ta), int(tb)
+        a, b = _tick(ta, "window bound"), _tick(tb, "window bound")
         if not a < b:
             raise RangeError(f"empty window [{ta}, {tb})")
         a, b = max(a, 0), min(b, g.delta)

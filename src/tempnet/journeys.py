@@ -6,7 +6,9 @@ one), non-decreasing times for non-strict journeys.  This module computes
 foremost (earliest-arrival), shortest (fewest-hops) and fastest
 (smallest-duration) journeys, temporal distance / eccentricity / diameter,
 latest departures (temporal views), the steady-progress parameter, and the
-desk-scale disjoint-journey and separator brute forces.
+desk-scale disjoint-journey and separator brute forces.  Each journey
+metric and the steady-progress search has one kernel, written for interval
+graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -34,12 +36,12 @@ from .core import (
     _mask_bits,
     _node_index,
     _reach_masks,
+    _tick,
     as_time,
     characteristic_dates,
     edge,
     lifetime,
     supports_hop,
-    temporal_subgraph,
 )
 from .errors import ContractError, InputError, RangeError
 
@@ -49,14 +51,6 @@ INF = math.inf
 def _check_node(g: TemporalGraph, v: str):
     if v not in g.nodes:
         raise InputError(f"unknown node {v!r}")
-
-
-def _tick(t: Time, what: str) -> int:
-    """A discrete time or window argument as an int; fractions are rejected."""
-    t = as_time(t)
-    if t.denominator != 1:
-        raise RangeError(f"discrete {what} must be an integer, got {t}")
-    return int(t)
 
 
 @dataclass(frozen=True)
@@ -504,9 +498,13 @@ def steady_progress_alpha(
     pair: Optional[tuple[str, str]] = None,
 ) -> Optional[Time]:
     """Smallest alpha such that every ordered pair (or the given pair) has a
-    node-distinct journey in the window whose initial wait and inter-hop
-    idles are <= alpha.
+    node-distinct journey in the window whose initial wait (first hop time
+    minus window start) and idles are <= alpha.
 
+    The idle between hops at t1 and t2 is t2 - t1 - c as in Journey.max_wait:
+    on a sequence c is 1 strict and 0 non-strict; on an interval graph c is
+    zeta in both kinds (a non-strict hop may leave before the last arrives).
+    A sequence runs the one search on its integer ticks with integer alpha.
     Returns None when some pair has no such journey in the window at all.
     """
     strict = _check_kind(kind)
@@ -523,21 +521,18 @@ def steady_progress_alpha(
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
     if discrete:
         wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta)
-        span = whi - wlo
-        if span <= 0:
+        if whi <= wlo:
             raise RangeError(f"empty window [{wlo}, {whi})")
-        feasible = lambda alpha: all(
-            _alpha_ok_discrete(g, a, b, wlo, whi, alpha, strict) for a, b in pairs
-        )
-        cands: list = list(range(span))
+        ig, gap, cost = g._ticks, int(strict), int(strict)
+        cands: list = list(range(whi - wlo))
     else:
         wlo, whi = as_time(wlo), as_time(whi)
         if not wlo < whi:
             raise RangeError(f"empty window [{wlo}, {whi})")
-        sub = temporal_subgraph(g, (wlo, whi))
+        ig, gap, cost = g, g.latency if strict else 0, g.latency
         span = whi - wlo
         n = len(g.nodes)
-        anchors = set(characteristic_dates(sub)) | {wlo, whi}
+        anchors = {d for d in characteristic_dates(g) if wlo < d < whi} | {wlo, whi}
         cands = sorted({
             Fraction(d2 - d1 - k * g.latency, j)
             for d1 in anchors
@@ -547,10 +542,8 @@ def steady_progress_alpha(
             for j in range(1, n + 1)
             if 0 <= Fraction(d2 - d1 - k * g.latency, j) <= span
         } | {Fraction(0), span})
-        feasible = lambda alpha: all(
-            _alpha_ok_continuous(sub, a, b, wlo, whi, alpha) for a, b in pairs
-        )
-    if not feasible(cands[-1] if discrete else span):
+    feasible = lambda alpha: all(_alpha_ok(ig, a, b, wlo, whi, alpha, gap, cost) for a, b in pairs)
+    if not feasible(cands[-1]):
         return None
     lo_i, hi_i = 0, len(cands) - 1
     while lo_i < hi_i:
@@ -562,48 +555,45 @@ def steady_progress_alpha(
     return cands[lo_i]
 
 
-def _alpha_ok_discrete(seq, src, dst, wlo, whi, alpha, strict) -> bool:
-    # node-distinct journeys only: bouncing on a persistent edge would let a
-    # token idle forever in alpha-sized refreshes, voiding the wait bound
-    if src == dst:
-        return True
+def _alpha_ok(ig, src, dst, wlo, whi, alpha, gap, cost) -> bool:
+    """Does a node-distinct src ~> dst journey in [wlo, whi) wait <= alpha?
 
-    def explore(x, tau, visited) -> bool:
-        lb = wlo if tau is None else (tau + 1 if strict else tau)
-        for s in range(lb, min(lb + alpha, whi - 1) + 1):
-            for u, v in seq.snapshots[s]:
-                for a, b in ((u, v), (v, u)):
-                    if a != x or b in visited:
-                        continue
-                    if b == dst or explore(b, s, visited | {b}):
-                        return True
-        return False
-
-    return explore(src, None, {src})
-
-
-def _alpha_ok_continuous(ig, src, dst, wlo, whi, alpha) -> bool:
-    # node-distinct journeys, strict semantics; presences already clipped to
-    # the window.  Along a fixed path the feasible hop times form an interval,
-    # so propagating [lo, hi] per hop is an exact projection.
+    Along a fixed path and choice of runs each hop's feasible times form a
+    range [lo, hi] (an exact projection), and the next hop may leave in
+    [lo + gap, hi + cost + alpha].  Revisits are out: bouncing on a lasting
+    edge would refresh a token forever and void the bound.  Depth first on
+    an explicit stack of hop generators, neighbours in incident order.
+    """
     if src == dst:
         return True
     zeta = ig.latency
+    on_path = {src}
 
-    def explore(x, alo, ahi, visited) -> bool:
+    def hops(x, lo, hi):
+        first, last = lo + gap, hi + cost + alpha
         for y, ivs in ig.incident[x]:
-            if y in visited:
+            if y in on_path:
                 continue
             for a, b in ivs:
-                s_lo = max(a, alo)
-                s_hi = min(b - zeta, ahi + alpha)
-                if s_lo > s_hi:
-                    continue
-                if y == dst or explore(y, s_lo + zeta, s_hi + zeta, visited | {y}):
-                    return True
-        return False
+                if a > last or a >= whi:
+                    break  # runs are sorted
+                end = (b if b < whi else whi) - zeta  # latest hop in the run clipped to the window
+                s_lo = a if a > first else first
+                if s_lo <= end and b > wlo:
+                    yield y, s_lo, end if end < last else last
 
-    return explore(src, wlo, wlo, {src})
+    # a virtual hop before the window makes the first one leave in [wlo, wlo + alpha]
+    stack = [(src, hops(src, wlo - gap, wlo - cost))]
+    while stack:
+        for y, lo, hi in stack[-1][1]:
+            if y == dst:
+                return True
+            on_path.add(y)
+            stack.append((y, hops(y, lo, hi)))
+            break
+        else:
+            on_path.discard(stack.pop()[0])
+    return False
 
 
 def _journey_exists(g: TemporalGraph, s: str, t: str, internal, kind: str) -> bool:

@@ -72,6 +72,12 @@ def weekly_line(weeks: int = 6) -> SnapshotSequence:
     return seq_of("abcdef", *snaps)
 
 
+def long_line(n: int = 1100) -> SnapshotSequence:
+    """Nodes v0000..v{n-1}; snapshot i holds the edge v_i - v_{i+1}."""
+    names = [f"v{i:04d}" for i in range(n)]
+    return SnapshotSequence.build(names, [[(names[i], names[i + 1])] for i in range(n - 1)])
+
+
 @pytest.fixture(name="weekly_line")
 def weekly_line_fixture():
     return weekly_line()

@@ -13,6 +13,7 @@ with the package (`SnapshotSequence` serves only as a container).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from tempnet.core import SnapshotSequence, StaticGraph, edge
 
@@ -357,6 +358,56 @@ def brute_alpha(seq, kind, wlo=0, whi=None, pairs=None):
         if not js:
             return None
         worst = max(worst, min(needed_alpha(j, wlo, strict) for j in js))
+    return worst
+
+
+GRID = 12  # interval hop times are enumerated on the 1/12 grid
+
+
+def brute_alpha_intervals(ig, kind, wlo, whi):
+    """Steady progress on an interval graph by enumerating node-distinct
+    journeys whose hop times lie on the 1/12 grid of [wlo, whi].
+
+    A hop at t needs [t, t + zeta] inside a presence run clipped to the
+    window, and the clipped run must be non-empty; strict hops leave at
+    least zeta after the previous one, non-strict ones not before it.  A
+    journey needs max(initial wait t1 - wlo, idles t2 - t1 - zeta); the
+    answer is the max over ordered pairs of the min over journeys, None when
+    some pair has no journey.  Exact for n <= 3, integer endpoints and
+    latency in {0, 1/2, 1}: every optimum then sits on the 1/4 grid.
+    """
+    zeta = ig.latency
+    strict = kind == "strict"
+    times = [Fraction(k, GRID) for k in range(wlo * GRID, whi * GRID + 1)]
+
+    def carries(x, y, t):
+        for a, b in ig.edges.get(edge(x, y), ()):
+            a, b = max(a, wlo), min(b, whi)
+            if a < b and a <= t and t + zeta <= b:
+                return True
+        return False
+
+    def least_need(x, dst, prev, visited):
+        best = None
+        for y in sorted(ig.nodes - visited):
+            for t in times:
+                if prev is not None and t < prev[0] + (zeta if strict else 0):
+                    continue
+                if not carries(x, y, t):
+                    continue
+                need = max(prev[1], t - prev[0] - zeta) if prev else t - wlo
+                if y != dst:
+                    need = least_need(y, dst, (t, need), visited | {y})
+                if need is not None and (best is None or need < best):
+                    best = need
+        return best
+
+    worst = Fraction(0)
+    for a, b in itertools.permutations(sorted(ig.nodes), 2):
+        need = least_need(a, b, None, {a})
+        if need is None:
+            return None
+        worst = max(worst, need)
     return worst
 
 

@@ -44,11 +44,12 @@ def dense_sequences(draw, min_n=2, max_n=8, min_delta=1, max_delta=5):
 
 
 @st.composite
-def interval_graphs(draw, min_n=2, max_n=4, max_intervals=2, max_time=8):
+def interval_graphs(draw, min_n=2, max_n=4, max_intervals=2, max_time=8,
+                    latencies=(Fraction(1), Fraction(1, 2), Fraction(1, 4))):
     n = draw(st.integers(min_n, max_n))
     names = node_names(n)
     pairs = [edge(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    latency = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4)]))
+    latency = draw(st.sampled_from(latencies))
     edges = {}
     for e in pairs:
         k = draw(st.integers(0, max_intervals))

@@ -3,9 +3,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import long_line
 from tempnet.cli import main
-from tempnet.io import dump_graph
+from tempnet.core import IntervalGraph, to_intervals
+from tempnet.io import dump_graph, dump_linkstream
 
 
 @pytest.fixture
@@ -117,6 +121,20 @@ def test_param_period_and_alpha(capsys, trace_file, weekly_line, distance_fig):
         "10",
     )
     assert data["value"] == "83/50"
+
+
+def test_param_alpha_nonstrict_on_an_interval_graph(capsys, trace_file):
+    # b-c closes before a-b's hop arrives: only non-strict hops may share an instant
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(0, 1)]}, latency=1)
+    argv = ["param", trace_file(g), "--name", "alpha", "--pair", "a", "c"]
+    assert run_json(capsys, *argv)["value"] is None
+    assert run_json(capsys, *argv, "--kind", "nonstrict")["value"] == 0
+
+
+def test_param_alpha_on_a_long_line(capsys, trace_file):
+    argv = ["param", trace_file(long_line()), "--name", "alpha", "--pair", "v0000", "v1099"]
+    assert run_json(capsys, *argv)["value"] == 0
+    assert run_json(capsys, *argv, "--kind", "nonstrict")["value"] == 1
 
 
 def test_journey_foremost(capsys, trace_file, distance_fig):
@@ -237,6 +255,58 @@ def test_journey_rejects_fractional_discrete_times(capsys, trace_file, journey_f
     # a-c is present at 0, which int() truncation used to return for 1/2
     assert main(["journey", trace_file(journey_fig), "--from", "a", "--mode", *args]) == 1
     assert capsys.readouterr().err == f"tempnet: error: {error}\n"
+
+
+def test_closure_roundtrip_rejects_fractional_window(capsys, trace_file, journey_fig):
+    argv = ["closure", trace_file(journey_fig), "--roundtrip", "--window", "1/2", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "tempnet: error: discrete window bound must be an integer, got 1/2\n"
+
+
+@pytest.fixture
+def fixture_traces(tmp_path, trace_file, journey_fig, distance_fig):
+    """journey_fig and distance_fig, each as a JSON file and as a link-stream CSV."""
+    paths = []
+    for name, g in (("journey", journey_fig), ("distance", distance_fig)):
+        paths.append(trace_file(g, f"{name}.json"))
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text(dump_linkstream(g if isinstance(g, IntervalGraph) else to_intervals(g)))
+        paths.append(str(csv))
+    return paths
+
+
+# steps stay >= 1/12 so that an interval graph never asks for millions of windows
+TIME_TEXT = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-24, 24), st.integers(1, 12)),
+    st.integers(-24, 96).map(lambda k: str(k / 8)),
+    st.sampled_from(["1/0", "-1/0", "nan", "inf", "", " ", "abc", "1/", "/2", "1e3", "0x1", "--"]),
+)
+TIME_VERBS = [
+    lambda x, y: ["journey", "--mode", "foremost", "--from", "a", f"--at={x}"],
+    lambda x, y: ["journey", "--mode", "shortest", "--from", "a", "--to", "d", f"--at={x}"],
+    lambda x, y: ["journey", "--mode", "latest-departure", "--from", "a", "--to", "d", f"--at={x}"],
+    lambda x, y: ["journey", "--mode", "fastest", "--from", "a", "--to", "d", "--window", x, y],
+    lambda x, y: ["closure", "--roundtrip", "--window", x, y],
+    lambda x, y: ["param", "--name", "alpha", "--window", x, y],
+    lambda x, y: ["windows", "--metric", "tc", "--width", x, "--step", y],
+]
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 3), st.sampled_from(TIME_VERBS), TIME_TEXT, TIME_TEXT)
+def test_time_arguments_exit_cleanly(capsys, fixture_traces, which, verb, x, y):
+    argv = verb(x, y)
+    argv.insert(1, fixture_traces[which])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert sum(line.startswith("tempnet: error:") for line in err.splitlines()) == 1, err
 
 
 def test_deeply_nested_json_exit_1(capsys, tmp_path):

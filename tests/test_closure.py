@@ -1,5 +1,7 @@
 """Closures, round-trip composition, components, semaphore unfolding."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -16,7 +18,7 @@ from tempnet.closure import (
     semaphore_transform,
     strict_closure,
 )
-from tempnet.errors import ContractError, InputError
+from tempnet.errors import ContractError, InputError, RangeError
 
 
 def test_closure_fig_exact_arcs(closure_fig):
@@ -131,6 +133,10 @@ def test_roundtrip_closure_rejects_bad_window(journey_fig):
         roundtrip_closure(journey_fig, (2, 2))
     with pytest.raises(InputError):
         roundtrip_closure(journey_fig, (0, 99))
+    # int() truncation used to return the window (0, 3) for (1/2, 3)
+    with pytest.raises(RangeError, match="discrete window bound must be an integer, got 1/2"):
+        roundtrip_closure(journey_fig, (Fraction(1, 2), 3))
+    assert roundtrip_closure(journey_fig, (Fraction(1), 3)) == roundtrip_closure(journey_fig, (1, 3))
 
 
 def test_overlapping_components(overlap_fig):

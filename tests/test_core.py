@@ -143,6 +143,10 @@ def test_temporal_subgraph_discrete(journey_fig):
         temporal_subgraph(journey_fig, (2, 2))
     with pytest.raises(RangeError):
         temporal_subgraph(journey_fig, (10, 12))
+    # int() truncation used to turn [1/2, 5/2) into snapshots 0 and 1
+    for window in [(Fraction(1, 2), Fraction(5, 2)), (0, Fraction(5, 2)), ("1/2", 3)]:
+        with pytest.raises(RangeError, match="discrete window bound must be an integer"):
+            temporal_subgraph(journey_fig, window)
 
 
 def test_temporal_subgraph_continuous_clips(distance_fig):

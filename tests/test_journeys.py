@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import seq_of
-from strategies import KINDS, sequences
-from tempnet.core import to_intervals
+from conftest import long_line, seq_of
+from strategies import KINDS, interval_graphs, sequences
+from tempnet.core import IntervalGraph, to_intervals
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.journeys import (
     INF,
@@ -341,6 +341,31 @@ def test_alpha_zero_when_relay_is_immediate():
     seq = seq_of("abc", ["ab"], ["bc"])
     assert steady_progress_alpha(seq, pair=("a", "c")) == 0
     assert steady_progress_alpha(seq, pair=("a", "c"), kind="nonstrict") == 1
+
+
+@settings(deadline=None)
+@given(
+    interval_graphs(max_n=3, max_time=4, latencies=(Fraction(0), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    st.integers(0, 3).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 4))),
+)
+def test_interval_alpha_matches_bruteforce(g, kind, window):
+    want = oracles.brute_alpha_intervals(g, kind, *window)
+    assert steady_progress_alpha(g, window, kind) == want
+
+
+def test_interval_alpha_nonstrict_hops_may_share_an_instant():
+    # b-c closes before a-b's hop arrives, so only a non-strict journey exists
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(0, 1)]}, latency=1)
+    assert steady_progress_alpha(g, pair=("a", "c")) is None
+    assert steady_progress_alpha(g, pair=("a", "c"), kind="nonstrict") == 0
+    assert earliest_arrival(g, "a", 0, "nonstrict").arrival["c"] == 1
+
+
+def test_alpha_on_a_long_line_needs_no_recursion():
+    seq = long_line()
+    assert steady_progress_alpha(seq, pair=("v0000", "v1099")) == 0
+    assert steady_progress_alpha(seq, pair=("v0000", "v1099"), kind="nonstrict") == 1
 
 
 def test_menger_gap(menger_fig):
