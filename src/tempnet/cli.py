@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +55,11 @@ from .windows import sliding_metric
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a time such as -1/2 is a negative number, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     # usage problems are input problems: exit 1 (not argparse's 2), one prefix for every verb
     def error(self, message):
         self.print_usage(sys.stderr)

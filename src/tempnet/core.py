@@ -314,6 +314,17 @@ class IntervalGraph:
             inc[v].append((u, ivs))
         return {v: tuple(sorted(lst)) for v, lst in inc.items()}
 
+    @cached_property
+    def _reversed(self) -> "IntervalGraph":
+        """The graph in reversed time: presence [a, b) becomes [-b, -a), same latency.
+
+        A hop at s becomes one at -(s + zeta), so a journey u ~> v leaving at d
+        and arriving by t is a journey v ~> u from -t arriving at -d, of the same kind.
+        """
+        edges = {e: tuple((-b, -a) for a, b in reversed(ivs)) for e, ivs in self.edges.items()}
+        span = None if self.span is None else (-self.span[1], -self.span[0])
+        return IntervalGraph(self.nodes, edges, self.latency, span)
+
 
 TemporalGraph = Union[SnapshotSequence, IntervalGraph]
 

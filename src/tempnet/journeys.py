@@ -9,6 +9,7 @@ latest departures (temporal views), the steady-progress parameter, and the
 desk-scale disjoint-journey and separator brute forces.  Each journey
 metric and the steady-progress search has one kernel, written for interval
 graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).
+Latest departure is earliest arrival on the time-reversed ``_reversed`` view.
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -255,71 +256,27 @@ def temporal_diameter_at(g: TemporalGraph, t: Time, kind: str = "strict") -> Tim
 
 
 def latest_departure(
-    g: TemporalGraph,
-    u: str,
-    v: str,
-    t: Time,
-    kind: str = "strict",
-    src_cap: Optional[Time] = None,
+    g: TemporalGraph, u: str, v: str, t: Time, kind: str = "strict"
 ) -> Optional[Time]:
     """Max departure time of a journey u ~> v arriving by t (the temporal view).
 
-    Both models share one kernel: a snapshot sequence runs on its integer
+    Latest departure is earliest arrival in reversed time: the foremost
+    journey v ~> u from -t on the graph's ``_reversed`` view arrives at -d
+    for the latest departure d.  A snapshot sequence runs on its integer
     ticks (t must be an integer), where arriving by snapshot t is arriving
-    by tick t + 1 and departures are the same.  src_cap additionally bounds
-    the first hop (used by the fastest sweep).
+    by tick t + 1 and departures are the same.
     """
-    strict = _check_kind(kind)
+    _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     discrete = isinstance(g, SnapshotSequence)
     t = _tick(t, "time") if discrete else as_time(t)
     if u == v:
         return t
-    if src_cap is not None:
-        src_cap = _tick(src_cap, "departure bound") if discrete else as_time(src_cap)
     if discrete:
         g, t = g._ticks, t + 1
-    zeta = g.latency
-    target_label = t if strict else t - zeta
-    step = zeta if strict else 0
-    incident = g.incident
-
-    def best_dep(ivs, cap) -> Optional[Time]:
-        # latest time <= cap at which the edge can carry a hop
-        for a, b in reversed(ivs):
-            s = min(b - zeta, cap)
-            if s >= a:
-                return s
-        return None
-
-    labels: dict[str, Time] = {}
-    heap: list = [(-target_label, v)]
-    pending = {v: target_label}
-    while heap:
-        neg, y = heapq.heappop(heap)
-        if y in labels:
-            continue
-        lab = -neg
-        labels[y] = lab
-        cap = lab - step
-        for x, ivs in incident[y]:
-            if x in labels:
-                continue
-            s = best_dep(ivs, cap)
-            if s is not None and (x not in pending or s > pending[x]):
-                pending[x] = s
-                heapq.heappush(heap, (-s, x))
-    if src_cap is None:
-        return labels.get(u)
-    best: Optional[Time] = None
-    for y, ivs in incident[u]:
-        if y not in labels:
-            continue
-        s = best_dep(ivs, min(labels[y] - step, src_cap))
-        if s is not None and (best is None or s > best):
-            best = s
-    return best
+    arrival = _foremost(g._reversed, v, -t, kind, None).arrival
+    return -arrival[u] if u in arrival else None
 
 
 def shortest_journey(
@@ -388,23 +345,29 @@ def fastest_journey(
     the snapshots keeps, per node, the latest first-hop time of any journey
     from u that has reached it (every such journey can wait there), so v's
     best (arrival - departure, departure) is read off as it is reached.
-    Interval graphs sweep candidate departure times and evaluate each via
-    earliest-arrival plus latest-departure.  The journey itself is rebuilt
+    Interval graphs score each candidate departure d (a characteristic date
+    or window bound minus k * zeta) as (arrival - d, d) with one
+    earliest-arrival search: a foremost journey from d that leaves later
+    scores worse than d does, and the earliest optimal departure is itself
+    a candidate (an optimal journey slides back until a presence start, an
+    edge's end or a window bound pins it).  The journey itself is rebuilt
     by one earliest-arrival search from the chosen departure.
     """
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     discrete = isinstance(g, SnapshotSequence)
+    if discrete:
+        wlo, whi = (0, g.delta - 1) if window is None else window
+        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta - 1)
+    else:
+        lo, hi = lifetime(g)
+        wlo, whi = (lo, hi) if window is None else window
+        wlo, whi = max(as_time(wlo), lo), min(as_time(whi), hi)
     if u == v:
         return Journey((), kind, None if discrete else g.latency)
-    if window is None:
-        lo, hi = lifetime(g)
-        window = (lo, hi) if not discrete else (0, g.delta - 1)
-    wlo, whi = window
     best: Optional[tuple[Time, Time]] = None  # (duration, departure)
     if discrete:
-        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta - 1)
         bit = _node_index(g.nodes)[1]
         ui, vi = bit[u], bit[v]
         dep = [-1] * len(bit)  # latest first-hop time of a journey that reached each node
@@ -425,9 +388,6 @@ def fastest_journey(
             if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
                 best = (t - dep[vi], dep[vi])
     else:
-        wlo, whi = as_time(wlo), as_time(whi)
-        lo, hi = lifetime(g)
-        wlo, whi = max(wlo, lo), min(whi, hi)
         n = len(g.nodes)
         cands = sorted({
             d - k * g.latency
@@ -436,15 +396,11 @@ def fastest_journey(
             if wlo <= d - k * g.latency <= whi
         })
         for d in cands:
-            table = earliest_arrival(g, u, d, kind, dep_hi=whi)
-            if v not in table.arrival:
+            arrival = earliest_arrival(g, u, d, kind, dep_hi=whi).arrival
+            if v not in arrival:
                 break  # departing even later cannot help
-            arr = table.arrival[v]
-            dstar = latest_departure(g, u, v, arr, kind, src_cap=whi)
-            assert dstar is not None and dstar >= d
-            cand = (arr - dstar, dstar)
-            if best is None or cand < best:
-                best = cand
+            if best is None or (arrival[v] - d, d) < best:
+                best = (arrival[v] - d, d)
     if best is None:
         return None
     journey = earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)

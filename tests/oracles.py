@@ -3,16 +3,19 @@
 Everything here trades speed for obviousness: exhaustive journey
 enumeration, fixpoint reachability over (node, time) states, literal subset
 and subgraph enumeration.  Journey search, foremost times, closures and
-round-trip arcs come from the (node, time) fixpoint; exhaustive enumeration
-of node-distinct journeys backs the journey and steady-progress oracles and
-cross-checks the fixpoint on tiny traces.  Library results are compared
-against these on desk-scale instances; nothing in this module shares code
-with the package (`SnapshotSequence` serves only as a container).
+round-trip arcs come from the (node, time) fixpoint, and interval fastest
+journeys and latest departures from the same fixpoint on the lcm grid of an
+interval graph's times; exhaustive enumeration of node-distinct journeys
+backs the journey and steady-progress oracles and cross-checks the fixpoint
+on tiny traces.  Library results are compared against these on desk-scale
+instances; nothing in this module shares code with the package
+(`SnapshotSequence` serves only as a container).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from tempnet.core import SnapshotSequence, StaticGraph, edge
@@ -409,6 +412,76 @@ def brute_alpha_intervals(ig, kind, wlo, whi):
             return None
         worst = max(worst, need)
     return worst
+
+
+def _endpoints(ig):
+    """Sorted presence endpoints, or [0] when no edge is ever present."""
+    return sorted({x for ivs in ig.edges.values() for run in ivs for x in run}) or [Fraction(0)]
+
+
+def grid_first_hops(ig, src, kind, wlo, whi, *times):
+    """(node, hop time) -> latest first-hop time over walks from src whose
+    first hop leaves in [wlo, whi] and whose last hop, into node, leaves at
+    hop time; a (node, time) fixpoint on the grid of step 1/L.
+
+    L is the lcm of the denominators of every endpoint, the latency, the
+    window and the extra query times.  A hop at s needs [s, s + zeta] inside
+    one presence run; a strict hop leaves at least zeta after the previous
+    one, a non-strict hop not before it.  Extremal journeys (foremost,
+    latest departure, fastest with its earliest departure) pin each hop
+    time to one of these times plus a multiple of zeta, so they all lie on
+    the grid.  Hop times are swept in order; at each one, hops are added
+    until nothing changes (with zero separation hops chain within one
+    instant), and walks may pass through src again.
+    """
+    zeta = ig.latency
+    sep = zeta if kind == "strict" else 0
+    ends = _endpoints(ig)
+    scale = math.lcm(*(Fraction(x).denominator for x in (zeta, wlo, whi, *times, *ends)))
+    grid = [Fraction(k, scale) for k in range(int(ends[0] * scale), int(ends[-1] * scale) + 1)]
+    nodes = sorted(ig.nodes)
+    reached = {x: {} for x in nodes}  # node -> {hop time: latest first-hop time}
+
+    def carries(x, y, s):
+        return any(a <= s and s + zeta <= b for a, b in ig.edges.get(edge(x, y), ()))
+
+    for s in grid:
+        changed = True
+        while changed:
+            changed = False
+            for x in nodes:
+                deps = [d for r, d in reached[x].items() if r + sep <= s]
+                if x == src and wlo <= s <= whi:
+                    deps.append(s)
+                if not deps:
+                    continue
+                dep = max(deps)
+                for y in nodes:
+                    if y != x and carries(x, y, s) and (s not in reached[y] or reached[y][s] < dep):
+                        reached[y][s] = dep
+                        changed = True
+    return {(x, s): d for x in nodes for s, d in reached[x].items()}
+
+
+def brute_fastest_intervals(ig, src, kind, wlo, whi):
+    """dst -> least (duration, departure) over walks src ~> dst whose first
+    hop leaves in [wlo, whi]; unreachable nodes are absent."""
+    best = {}
+    for (x, s), d in grid_first_hops(ig, src, kind, wlo, whi).items():
+        cand = (s + ig.latency - d, d)
+        if x != src and (x not in best or cand < best[x]):
+            best[x] = cand
+    return best
+
+
+def brute_latest_departure_intervals(ig, src, kind, t):
+    """dst -> latest first-hop time of a journey src ~> dst arriving by t."""
+    ends = _endpoints(ig)
+    best = {}
+    for (x, s), d in grid_first_hops(ig, src, kind, ends[0], ends[-1], t).items():
+        if x != src and s + ig.latency <= t and (x not in best or d > best[x]):
+            best[x] = d
+    return best
 
 
 # ---------------------------------------------------------------------------

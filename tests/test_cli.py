@@ -164,6 +164,15 @@ def test_journey_fastest_and_shortest(capsys, trace_file, distance_fig):
     assert len(data["journey"]["hops"]) == 2
 
 
+def test_negative_fraction_times_are_values(capsys, trace_file, distance_fig):
+    src = trace_file(distance_fig)
+    fastest = ["journey", src, "--mode", "fastest", "--from", "a", "--to", "d", "--window"]
+    # distance_fig lives over [0, 10], so the window is clamped to [0, 3]
+    assert run_cli(capsys, *fastest, "-1/2", "3") == run_cli(capsys, *fastest, "0", "3")
+    latest = ["journey", src, "--mode", "latest-departure", "--from", "a", "--to", "d"]
+    assert run_cli(capsys, *latest, "--at", "-1/2") == run_cli(capsys, *latest, "--at=-1/2")
+
+
 def test_journey_validate(capsys, trace_file, journey_fig, tmp_path):
     src = trace_file(journey_fig)
     jpath = tmp_path / "journey.json"

@@ -168,12 +168,12 @@ def test_sequence_journeys_match_their_interval_graph(seq, kind, dep_hi):
     lambda seq, t: shortest_journey(seq, "a", "b", t),
     lambda seq, t: fastest_journey(seq, "a", "b", window=(t, 3)),
     lambda seq, t: fastest_journey(seq, "a", "b", window=(0, t)),
+    lambda seq, t: fastest_journey(seq, "a", "a", window=(t, 3)),
     lambda seq, t: latest_departure(seq, "a", "b", t - 1),
-    lambda seq, t: latest_departure(seq, "a", "b", 3, src_cap=t),
     lambda seq, t: temporal_distance(seq, "a", t),
     lambda seq, t: steady_progress_alpha(seq, window=(t, 4)),
-], ids=["start", "dep_hi", "shortest", "fastest-lo", "fastest-hi", "latest",
-        "latest-cap", "distance", "alpha"])
+], ids=["start", "dep_hi", "shortest", "fastest-lo", "fastest-hi", "fastest-self",
+        "latest", "distance", "alpha"])
 def test_discrete_times_must_be_integers(call):
     seq = seq_of("abc", ["ab"], ["bc"], ["ab"], ["ac"])
     assert call(seq, Fraction(1)) == call(seq, 1)  # integral fractions are fine
@@ -352,6 +352,35 @@ def test_alpha_zero_when_relay_is_immediate():
 def test_interval_alpha_matches_bruteforce(g, kind, window):
     want = oracles.brute_alpha_intervals(g, kind, *window)
     assert steady_progress_alpha(g, window, kind) == want
+
+
+QUARTERS = st.integers(-4, 36).map(lambda k: Fraction(k, 4))
+
+
+@settings(deadline=None)
+@given(
+    interval_graphs(latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    st.tuples(QUARTERS, QUARTERS),
+    QUARTERS,
+)
+def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window, t):
+    for u in sorted(g.nodes):
+        fastest = oracles.brute_fastest_intervals(g, u, kind, *window)
+        latest = oracles.brute_latest_departure_intervals(g, u, kind, t)
+        for v in sorted(g.nodes - {u}):
+            got = fastest_journey(g, u, v, window, kind)
+            if v not in fastest:
+                assert got is None
+            else:
+                assert (got.duration, got.departure) == fastest[v]
+                assert validate_journey(g, got)
+            assert latest_departure(g, u, v, t, kind) == latest.get(v)
+            # over the whole lifetime, the latest departure arriving when the
+            # fastest journey does is that journey's departure
+            fast = fastest_journey(g, u, v, kind=kind)
+            if fast is not None:
+                assert latest_departure(g, u, v, fast.arrival, kind) == fast.departure
 
 
 def test_interval_alpha_nonstrict_hops_may_share_an_instant():
