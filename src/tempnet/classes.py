@@ -24,6 +24,8 @@ from .core import (
     TemporalGraph,
     _as_sequence,
     _check_kind,
+    _check_limit,
+    edge,
     footprint,
 )
 from .closure import (
@@ -33,7 +35,7 @@ from .closure import (
     roundtrip_closure,
     strict_closure,
 )
-from .errors import ContractError, InputError
+from .errors import InputError
 from . import hierarchy
 from .journeys import steady_progress_alpha
 
@@ -148,37 +150,17 @@ def is_robust_mis(g: StaticGraph, candidate: Iterable[str]) -> bool:
         if not g.adjacency[v] & chosen:
             return False  # not maximal
     for v in sorted(g.nodes - chosen):
-        if _connected_without(g, v, g.adjacency[v] & chosen):
+        cut = {edge(v, w) for w in g.adjacency[v] & chosen}
+        if StaticGraph(g.nodes, g.edges - cut).is_connected():
             return False
     return True
-
-
-def _connected_without(g: StaticGraph, v: str, banned_neighbors: frozenset[str]) -> bool:
-    # connectivity of g minus the edges between v and banned_neighbors
-    start = next(iter(sorted(g.nodes)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.adjacency[x]:
-            if x == v and y in banned_neighbors:
-                continue
-            if y == v and x in banned_neighbors:
-                continue
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(g.nodes)
 
 
 def find_robust_mis(g: StaticGraph, limit_n: Optional[int] = 20) -> Optional[frozenset[str]]:
     """First robust maximal independent set in lexicographic order, or None."""
     if not g.is_connected():
         raise InputError("robustness is defined over connected graphs only")
-    if limit_n is not None and len(g.nodes) > limit_n:
-        raise ContractError(
-            f"{len(g.nodes)} nodes exceed the robust-MIS search limit {limit_n}"
-        )
+    _check_limit(g.nodes, limit_n, "robust-MIS search")
     complement = {
         v: frozenset(g.nodes - g.adjacency[v] - {v}) for v in g.nodes
     }

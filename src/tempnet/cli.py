@@ -122,16 +122,11 @@ def _cmd_convert(args):
     if args.to == "snapshots":
         seq = g if isinstance(g, SnapshotSequence) else to_snapshots(g)
         return dump_graph(seq)
-    if args.to == "intervals":
+    if args.to in ("intervals", "linkstream"):
         ig = g if not isinstance(g, SnapshotSequence) else to_intervals(
             g, latency=args.latency if args.latency is not None else 1
         )
-        return dump_graph(ig)
-    if args.to == "linkstream":
-        ig = g if not isinstance(g, SnapshotSequence) else to_intervals(
-            g, latency=args.latency if args.latency is not None else 1
-        )
-        return dump_linkstream(ig)
+        return dump_graph(ig) if args.to == "intervals" else dump_linkstream(ig)
     if args.to == "dot":
         return static_to_dot(footprint(g))
     raise InputError(f"unknown conversion target {args.to!r}")

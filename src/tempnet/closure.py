@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (
-    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _hop_rows, _mask_bits,
-    _node_index, _reach_masks, _tick, _union_rows, edge,
+    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _hop_rows,
+    _mask_bits, _node_index, _reach_masks, _tick, _union_rows, edge,
 )
 from .errors import ContractError, InputError
 
@@ -264,10 +264,7 @@ def maximal_temporal_components(
     """
     seq = _require_sequence(g)
     strict = _check_kind(kind)
-    if limit_n is not None and len(seq.nodes) > limit_n:
-        raise ContractError(
-            f"{len(seq.nodes)} nodes exceed the component search limit {limit_n}"
-        )
+    _check_limit(seq.nodes, limit_n, "component search")
     order, reach = _reach_masks(seq, strict)
     mutual: dict[str, set[str]] = {v: set() for v in order}
     for i, j in itertools.combinations(range(len(order)), 2):

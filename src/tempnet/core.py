@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InputError, RangeError
+from .errors import ContractError, InputError, RangeError
 
 Edge = tuple[str, str]
 Time = Union[int, Fraction]
@@ -114,6 +114,12 @@ def _reach_masks(seq: SnapshotSequence, strict: bool, within: frozenset[str] | N
         if snap:
             reach = _hop_rows(seq.nodes, snap, strict, reach)
     return order, reach
+
+
+def _check_limit(nodes: frozenset[str], limit_n: int | None, what: str):
+    """The exponential searches' desk-scale contract: at most limit_n nodes, None for no limit."""
+    if limit_n is not None and len(nodes) > limit_n:
+        raise ContractError(f"{len(nodes)} nodes exceed the {what} limit {limit_n}")
 
 
 def _check_edges(edges: Iterable[Edge], nodes: frozenset[str]):
@@ -451,14 +457,15 @@ def discretize(g: IntervalGraph) -> Discretization:
     if len(dates) < 2:
         seq = SnapshotSequence(g.nodes, (frozenset(),))
         return Discretization(seq, ((lo, lo + 1),))
-    spans = tuple((dates[i], dates[i + 1]) for i in range(len(dates) - 1))
-    snaps = []
-    for a, b in spans:
-        snaps.append(frozenset(
-            e for e, ivs in g.edges.items()
-            if any(x <= a and b <= y for x, y in ivs)
-        ))
-    return Discretization(SnapshotSequence(g.nodes, tuple(snaps)), spans)
+    return Discretization(_on_grid(g, dates), tuple(zip(dates, dates[1:])))
+
+
+def _on_grid(g: IntervalGraph, dates: Sequence[Time]) -> SnapshotSequence:
+    """Snapshot i holds the edges present throughout [dates[i], dates[i+1])."""
+    return SnapshotSequence(g.nodes, tuple(
+        frozenset(e for e, ivs in g.edges.items() if any(x <= a and b <= y for x, y in ivs))
+        for a, b in zip(dates, dates[1:])
+    ))
 
 
 def _as_sequence(g: TemporalGraph) -> SnapshotSequence:
@@ -504,16 +511,8 @@ def to_snapshots(g: IntervalGraph) -> SnapshotSequence:
             raise InputError(
                 f"non-integer characteristic date {d}; discretize() handles general grids"
             )
-    lo_i, hi_i = int(lo), int(hi)
-    if hi_i <= lo_i:
-        hi_i = lo_i + 1
-    snaps = []
-    for t in range(lo_i, hi_i):
-        snaps.append(frozenset(
-            e for e, ivs in g.edges.items()
-            if any(a <= t and t + 1 <= b for a, b in ivs)
-        ))
-    return SnapshotSequence(g.nodes, tuple(snaps))
+    lo, hi = int(lo), int(hi)
+    return _on_grid(g, range(lo, max(hi, lo + 1) + 1))
 
 
 def induced_sequence(seq: SnapshotSequence, nodes: Iterable[str]) -> SnapshotSequence:

@@ -12,9 +12,10 @@ Two monotonicity directions are supported:
   properties).  ``extremal`` returns the largest such r.
 
 Both ``decide`` (fixed r) and ``extremal`` slide a two-stack aggregation
-over the sequence, so the number of compose plus test calls stays linear:
-at most 6*delta for decide and 10*delta for extremal, which the returned
-operation counts let callers audit.
+queue over the sequence, so the number of compose plus test calls stays
+linear: at most 6*delta for decide and 10*delta for extremal.  The queue
+counts the calls it makes, and the results return the counts in ``ops``
+so that callers can audit the bound.
 """
 
 from __future__ import annotations
@@ -58,28 +59,40 @@ class HierarchyResult:
 
 
 class _Swag:
-    """Queue with running composition (two-stack sliding-window aggregation)."""
+    """Queue with running composition (two-stack sliding-window aggregation).
 
-    def __init__(self, compose):
-        self._compose = compose
+    Every compose and test of the algebra goes through it and is counted in ``ops``.
+    """
+
+    def __init__(self, algebra: WindowAlgebra):
+        self.algebra = algebra
+        self.ops = {"compose": 0, "test": 0}
         self._front: list = []  # (element, element composed with everything above)
         self._back: list = []  # (element, everything below composed with element)
 
+    def compose(self, a, b):
+        self.ops["compose"] += 1
+        return self.algebra.compose(a, b)
+
+    def test(self, x) -> bool:
+        self.ops["test"] += 1
+        return self.algebra.test(x)
+
     def push(self, x):
-        agg = self._compose(self._back[-1][1], x) if self._back else x
+        agg = self.compose(self._back[-1][1], x) if self._back else x
         self._back.append((x, agg))
 
     def pop(self):
         if not self._front:
             while self._back:
                 x, _ = self._back.pop()
-                agg = self._compose(x, self._front[-1][1]) if self._front else x
+                agg = self.compose(x, self._front[-1][1]) if self._front else x
                 self._front.append((x, agg))
         self._front.pop()
 
     def aggregate(self):
         if self._front and self._back:
-            return self._compose(self._front[-1][1], self._back[-1][1])
+            return self.compose(self._front[-1][1], self._back[-1][1])
         if self._front:
             return self._front[-1][1]
         if self._back:
@@ -87,56 +100,40 @@ class _Swag:
         raise AssertionError("aggregate of an empty window")
 
 
-class _Counted:
-    def __init__(self, algebra: WindowAlgebra):
-        self.ops = {"compose": 0, "test": 0}
-        self._algebra = algebra
-
-    def compose(self, a, b):
-        self.ops["compose"] += 1
-        return self._algebra.compose(a, b)
-
-    def test(self, x) -> bool:
-        self.ops["test"] += 1
-        return self._algebra.test(x)
-
-
 def decide(algebra: WindowAlgebra, seq: SnapshotSequence, r: int) -> DecideResult:
     """Do all windows of length r pass?  Costs at most 6*delta compose+test."""
     delta = seq.delta
     if not 1 <= r <= delta:
         raise RangeError(f"window length {r} outside 1..{delta}")
-    counted = _Counted(algebra)
-    sw = _Swag(counted.compose)
+    sw = _Swag(algebra)
     value = True
     e = 0
     for s in range(delta - r + 1):
         while e < s + r:
             sw.push(algebra.lift(e, seq.graph_at(e)))
             e += 1
-        if not counted.test(sw.aggregate()):
+        if not sw.test(sw.aggregate()):
             value = False
             break
         sw.pop()
-    return DecideResult(value, dict(counted.ops))
+    return DecideResult(value, dict(sw.ops))
 
 
-def _walk_grow(algebra, counted, seq) -> list:
+def _walk_grow(sw: _Swag, seq: SnapshotSequence) -> list:
     # q[s] = minimal passing window length starting at s (inf if none fits)
     delta = seq.delta
-    sw = _Swag(counted.compose)
     q: list = []
     e = 0
     for s in range(delta):
         passed = False
         while True:
             if e > s:
-                if counted.test(sw.aggregate()):
+                if sw.test(sw.aggregate()):
                     passed = True
                     break
             if e == delta:
                 break
-            sw.push(algebra.lift(e, seq.graph_at(e)))
+            sw.push(sw.algebra.lift(e, seq.graph_at(e)))
             e += 1
         q.append(e - s if passed else math.inf)
         if e > s:
@@ -144,19 +141,18 @@ def _walk_grow(algebra, counted, seq) -> list:
     return q
 
 
-def _walk_shrink(algebra, counted, seq) -> list:
+def _walk_shrink(sw: _Swag, seq: SnapshotSequence) -> list:
     # h[s] = maximal passing window length starting at s (0 if none)
     delta = seq.delta
-    sw = _Swag(counted.compose)
     h: list = []
     e = 0
     for s in range(delta):
         if e < s:
             e = s  # previous start had no passing window at all
         while e < delta:
-            x = algebra.lift(e, seq.graph_at(e))
-            cand = x if e == s else counted.compose(sw.aggregate(), x)
-            if not counted.test(cand):
+            x = sw.algebra.lift(e, seq.graph_at(e))
+            cand = x if e == s else sw.compose(sw.aggregate(), x)
+            if not sw.test(cand):
                 break
             sw.push(x)
             e += 1
@@ -173,16 +169,16 @@ def extremal(algebra: WindowAlgebra, seq: SnapshotSequence) -> HierarchyResult:
     grow: smallest such r; shrink: largest.  None when no r in 1..delta
     works.  Costs at most 10*delta compose+test calls.
     """
-    counted = _Counted(algebra)
+    sw = _Swag(algebra)
     delta = seq.delta
     if algebra.direction == "grow":
         # running maxima of q; r works iff it covers q[s] for every s <= delta - r
-        q = list(itertools.accumulate(_walk_grow(algebra, counted, seq), max))
+        q = list(itertools.accumulate(_walk_grow(sw, seq), max))
         best = next((r for r in range(1, delta + 1) if q[delta - r] <= r), None)
     else:
-        h = list(itertools.accumulate(_walk_shrink(algebra, counted, seq), min))
+        h = list(itertools.accumulate(_walk_shrink(sw, seq), min))
         best = next((r for r in range(delta, 0, -1) if h[delta - r] >= r), None)
-    return HierarchyResult(best, dict(counted.ops))
+    return HierarchyResult(best, dict(sw.ops))
 
 
 class IncrementalDecide:
@@ -197,21 +193,20 @@ class IncrementalDecide:
             raise RangeError(f"window length {r} must be >= 1")
         self.algebra = algebra
         self.r = r
-        self._counted = _Counted(algebra)
-        self._sw = _Swag(self._counted.compose)
+        self._sw = _Swag(algebra)
         self._count = 0
         self.all_pass = True
 
     @property
     def ops(self) -> dict[str, int]:
-        return dict(self._counted.ops)
+        return dict(self._sw.ops)
 
     def append(self, snapshot: StaticGraph) -> Optional[bool]:
         self._sw.push(self.algebra.lift(self._count, snapshot))
         self._count += 1
         if self._count < self.r:
             return None
-        verdict = self._counted.test(self._sw.aggregate())
+        verdict = self._sw.test(self._sw.aggregate())
         self.all_pass = self.all_pass and verdict
         self._sw.pop()
         return verdict

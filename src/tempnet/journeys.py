@@ -33,6 +33,7 @@ from .core import (
     TemporalGraph,
     Time,
     _check_kind,
+    _check_limit,
     _hop_rows,
     _mask_bits,
     _node_index,
@@ -44,7 +45,7 @@ from .core import (
     lifetime,
     supports_hop,
 )
-from .errors import ContractError, InputError, RangeError
+from .errors import InputError, RangeError
 
 INF = math.inf
 
@@ -588,13 +589,6 @@ def _minimal_feasible_sets(g, s, t, kind) -> Optional[list[frozenset[str]]]:
     return minimal
 
 
-def _check_limit(g, limit_n):
-    if limit_n is not None and len(g.nodes) > limit_n:
-        raise ContractError(
-            f"{len(g.nodes)} nodes exceed the brute-force limit {limit_n}"
-        )
-
-
 def max_disjoint_journeys(
     g: TemporalGraph, s: str, t: str, kind: str = "strict", limit_n: int = 12
 ):
@@ -605,7 +599,7 @@ def max_disjoint_journeys(
     _check_kind(kind)
     _check_node(g, s)
     _check_node(g, t)
-    _check_limit(g, limit_n)
+    _check_limit(g.nodes, limit_n, "brute-force")
     minimal = _minimal_feasible_sets(g, s, t, kind)
     if minimal is None:
         return INF
@@ -633,7 +627,7 @@ def min_temporal_separator(
     _check_kind(kind)
     _check_node(g, s)
     _check_node(g, t)
-    _check_limit(g, limit_n)
+    _check_limit(g.nodes, limit_n, "brute-force")
     internal = sorted(g.nodes - {s, t})
     if _journey_exists(g, s, t, (), kind):
         return INF
@@ -644,4 +638,3 @@ def min_temporal_separator(
             remaining = set(internal) - set(cut)
             if not _journey_exists(g, s, t, remaining, kind):
                 return size
-    return len(internal)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .classes import finite_class_membership
 from .closure import nonstrict_closure, strict_closure
 from .core import SnapshotSequence, footprint
 from .errors import ContractError, InputError
@@ -156,13 +157,9 @@ def check_conditions(
         spanning_star = len(footprint(seq).adjacency[sentinel]) == n - 1
         return {"necessary": spanning_star, "sufficient": spanning_star}
     if algorithm == "count-uniform":
-        nons = nonstrict_closure(seq)
-        in_deg = {v: 0 for v in seq.nodes}
-        for _, v in nons.arcs:
-            in_deg[v] += 1
         return {
-            "necessary": any(d == n - 1 for d in in_deg.values()),
-            "sufficient": footprint(seq).is_complete(),
+            "necessary": finite_class_membership(seq, "JA1", "nonstrict")[0],
+            "sufficient": finite_class_membership(seq, "K")[0],
         }
     return {"necessary": None, "sufficient": None}
 

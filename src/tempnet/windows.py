@@ -10,7 +10,8 @@ On a snapshot sequence one walk of the strict ``tdiameter`` window algebra
 shortest window from s in which everyone (for ``ecc:v``, node v) reaches
 everyone; every point reads off q, so a whole series costs O(delta)
 compose and test calls whatever its width and step.  Interval graphs run
-earliest arrival from every node in every window.
+earliest arrival from every node in every window, so their series is
+limited to 10,000 windows.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from dataclasses import dataclass, replace
 from .core import (
     SnapshotSequence, TemporalGraph, Time, _node_index, as_time, lifetime, temporal_subgraph,
 )
-from .errors import InputError, RangeError
-from .hierarchy import _Counted, _walk_grow, tdiameter
+from .errors import ContractError, InputError, RangeError
+from .hierarchy import _Swag, _walk_grow, tdiameter
 from .io import format_time
 from .journeys import earliest_arrival
 
 METRICS = ("tdiam", "tc")  # plus "ecc:<node>"
+_MAX_WINDOWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def _shortest_passing(seq: SnapshotSequence, node) -> list:
         v = _node_index(seq.nodes)[1][node]
         full = (1 << len(seq.nodes)) - 1
         algebra = replace(algebra, test=lambda rows: rows[v] == full)
-    return _walk_grow(algebra, _Counted(algebra), seq)
+    return _walk_grow(_Swag(algebra), seq)
 
 
 def _window_ecc(sub: TemporalGraph, sources, start: Time) -> Time:
@@ -83,13 +85,14 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
         lo, hi = lifetime(g)
     if width <= 0 or step <= 0:
         raise RangeError("window width and step must be positive")
-    starts = []
-    s = lo
-    while s + width <= hi:
-        starts.append(s)
-        s = s + step
-    if not starts:
+    count = (hi - lo - width) // step + 1
+    if count < 1:
         raise RangeError(f"no window of width {width} fits the lifetime [{lo}, {hi})")
+    if not discrete and count > _MAX_WINDOWS:
+        raise ContractError(
+            f"{count} windows exceed the sliding-window limit {_MAX_WINDOWS}; use a larger --step"
+        )
+    starts = [lo + i * step for i in range(count)]
     node = metric.split(":", 1)[1] if metric.startswith("ecc:") else None
     if node is not None and node not in g.nodes:
         raise InputError(f"unknown node {node!r} in metric {metric!r}")

@@ -1,11 +1,13 @@
 """Command line behaviour: verbs, formats, exit codes, golden outputs."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import long_line
 from tempnet.cli import main
 from tempnet.core import IntervalGraph, to_intervals
@@ -83,6 +85,46 @@ def test_closure_roundtrip_window(capsys, trace_file, journey_fig):
     )
     assert data["window"] == [0, 2]
     assert all(set(arc) == {"u", "v", "ea", "ld"} for arc in data["arcs"])
+
+
+def test_closure_nonstrict(capsys, trace_file, bull_trace):
+    # one connected snapshot: strict journeys take one hop, non-strict ones cross it
+    code, out = run_cli(capsys, "closure", trace_file(bull_trace), "--kind", "nonstrict")
+    pairs = [[u, v] for u in "abcde" for v in "abcde" if u != v]
+    assert code == 0
+    assert out == json.dumps({"arcs": pairs, "nodes": list("abcde")}, indent=2) + "\n"
+    arcs = {tuple(arc) for arc in json.loads(out)["arcs"]}
+    assert arcs == oracles.brute_closure_arcs(bull_trace, "nonstrict")
+    assert arcs != oracles.brute_closure_arcs(bull_trace, "strict")
+
+
+CLOSURE_FIG_RT_LABELS = {
+    "ab": (1, 1), "ac": (1, 1), "ad": (2, 1), "ae": (3, 1),
+    "ba": (1, 1), "bc": (2, 2), "bd": (2, 2), "be": (3, 2),
+    "ca": (1, 1), "cb": (2, 2), "cd": (2, 3), "ce": (3, 4),
+    "db": (2, 2), "dc": (2, 3), "de": (3, 4),
+    "ec": (3, 4), "ed": (3, 4),
+}
+
+
+def test_closure_roundtrip_dot(capsys, trace_file, closure_fig):
+    src = trace_file(closure_fig)
+    code, out = run_cli(capsys, "closure", src, "--roundtrip", "--dot")
+    assert code == 0
+    assert out == "".join([
+        "digraph closure {\n",
+        *(f'  "{v}";\n' for v in "abcde"),
+        *(f'  "{a[0]}" -> "{a[1]}" [label="ea={ea},ld={ld}"];\n'
+          for a, (ea, ld) in CLOSURE_FIG_RT_LABELS.items()),
+        "}\n",
+    ])
+    for kind in ("strict", "nonstrict"):
+        code, out = run_cli(capsys, "closure", src, "--roundtrip", "--dot", "--kind", kind)
+        labels = {
+            (u, v): (int(ea), int(ld))
+            for u, v, ea, ld in re.findall(r'"(\w)" -> "(\w)" \[label="ea=(\d+),ld=(\d+)"\]', out)
+        }
+        assert code == 0 and labels == oracles.brute_rt_arcs(closure_fig, 0, closure_fig.delta, kind)
 
 
 def test_classify(capsys, trace_file, journey_fig):
@@ -253,6 +295,16 @@ def test_windows_rejects_fractional_snapshot_counts(capsys, trace_file, journey_
     assert capsys.readouterr().err == (
         f"tempnet: error: window width and step must be whole snapshots, got {bad}\n"
     )
+
+
+def test_windows_count_is_limited_on_interval_graphs(capsys, trace_file, distance_fig):
+    # the lifetime [0, 10] holds 90,001 windows of width 1 at step 1/10000
+    argv = ["windows", trace_file(distance_fig), "--metric", "tc", "--width", "1"]
+    assert main([*argv, "--step", "1/10000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "tempnet: error: 90001 windows exceed the sliding-window limit 10000; use a larger --step\n"
+    code, out = run_cli(capsys, *argv, "--step", "1/1111")  # 10,000 windows
+    assert code == 0 and out.count("\n") == 10_001
 
 
 @pytest.mark.parametrize("args,error", [

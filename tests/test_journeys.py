@@ -383,6 +383,66 @@ def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window
                 assert latest_departure(g, u, v, fast.arrival, kind) == fast.departure
 
 
+@settings(deadline=None)
+@given(interval_graphs(), KINDS, st.integers(0, 32).map(lambda k: Fraction(k, 4)))
+def test_interval_distances_match_grid_oracle(g, kind, t):
+    hi = g.span[1]
+    eccs = []
+    for u in sorted(g.nodes):
+        first_hops = oracles.grid_first_hops(g, u, kind, t, hi, t)
+        want = {v: INF for v in g.nodes} | {u: 0}
+        for (v, s), _ in first_hops.items():
+            if v != u:
+                want[v] = min(want[v], s + g.latency - t)
+        assert temporal_distance(g, u, t, kind) == want
+        eccs.append(eccentricity(g, u, t, kind))
+        assert eccs[-1] == max(want.values())
+        table = earliest_arrival(g, u, t, kind)
+        assert table.journey_to(u) == Journey((), kind, g.latency)
+        for v in sorted(g.nodes - {u}):
+            journey = table.journey_to(v)
+            if want[v] == INF:
+                assert journey is None
+            else:
+                assert journey.arrival - t == want[v] and validate_journey(g, journey)
+    assert temporal_diameter_at(g, t, kind) == max(eccs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(interval_graphs(max_n=5), KINDS)
+def test_interval_disjoint_and_separator_match_grid_oracle(g, kind):
+    nodes = sorted(g.nodes)
+    lo, hi = g.span
+    reached = {}
+
+    def feasible(s, t, internal):
+        # a journey s ~> t on the graph restricted to internal + {s, t}, span kept
+        keep = frozenset(internal) | {s, t}
+        if (s, keep) not in reached:
+            edges = {e: ivs for e, ivs in g.edges.items() if set(e) <= keep}
+            sub = IntervalGraph(keep, edges, g.latency, g.span)
+            reached[s, keep] = {x for x, _ in oracles.grid_first_hops(sub, s, kind, lo, hi)}
+        return t in reached[s, keep]
+
+    for s, t in itertools.permutations(nodes, 2):
+        internal = frozenset(nodes) - {s, t}
+        subsets = [frozenset(c) for size in range(len(internal) + 1)
+                   for c in itertools.combinations(sorted(internal), size)]
+        if feasible(s, t, ()):
+            separator = disjoint = INF
+        else:
+            separator = min(len(cut) for cut in subsets if not feasible(s, t, internal - cut))
+            usable = [c for c in subsets if feasible(s, t, c)]
+            disjoint = max(
+                size
+                for size in range(len(internal) + 1)
+                for family in itertools.combinations(usable, size)
+                if all(not a & b for a, b in itertools.combinations(family, 2))
+            )
+        assert min_temporal_separator(g, s, t, kind) == separator
+        assert max_disjoint_journeys(g, s, t, kind) == disjoint
+
+
 def test_interval_alpha_nonstrict_hops_may_share_an_instant():
     # b-c closes before a-b's hop arrives, so only a non-strict journey exists
     g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(0, 1)]}, latency=1)
