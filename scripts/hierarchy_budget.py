@@ -4,7 +4,8 @@
 Generates random snapshot sequences, runs both the fixed-length decision and
 the extremal search for each supported window property, and prints observed
 compose+test counts next to the linear budgets they must respect (6*delta for
-decide, 10*delta for extremal).  A row exceeding its budget is a bug.
+decide, 10*delta for extremal).  A row exceeding its budget is a bug: it
+reads OVER, and the script exits 1.
 """
 
 import argparse
@@ -54,6 +55,7 @@ def main() -> int:
     header = (f"{'property':<12} {'delta':>6} {'decide ops':>11} {'<=6d':>6} "
               f"{'extremal ops':>13} {'<=10d':>6} {'value':>6}")
     print(header)
+    over = False
     for delta in args.deltas:
         seq = random_sequence(args.n, delta, args.p, rng)
         for name, alg in algebras(seq).items():
@@ -63,9 +65,10 @@ def main() -> int:
             e_ops = sum(ex.ops.values())
             ok_d = "ok" if d_ops <= 6 * delta else "OVER"
             ok_e = "ok" if e_ops <= 10 * delta else "OVER"
+            over = over or "OVER" in (ok_d, ok_e)
             print(f"{name:<12} {delta:>6} {d_ops:>11} {ok_d:>6} "
                   f"{e_ops:>13} {ok_e:>6} {str(ex.value):>6}")
-    return 0
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

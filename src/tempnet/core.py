@@ -225,7 +225,9 @@ class SnapshotSequence:
     @staticmethod
     def build(nodes: Iterable[str], snapshots: Sequence[Iterable[tuple[str, str]]]) -> "SnapshotSequence":
         node_set = frozenset(nodes)
-        snaps = tuple(frozenset(edge(u, v) for u, v in g) for g in snapshots)
+        canon: dict[Edge, Edge] = {}  # one tuple per distinct edge, shared by every snapshot
+        snaps = tuple(frozenset(canon.setdefault(e, e) for e in (edge(u, v) for u, v in g))
+                      for g in snapshots)
         return SnapshotSequence(node_set, snaps)
 
     @property

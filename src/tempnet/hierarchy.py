@@ -15,17 +15,20 @@ Both ``decide`` (fixed r) and ``extremal`` slide a two-stack aggregation
 queue over the sequence, so the number of compose plus test calls stays
 linear: at most 6*delta for decide and 10*delta for extremal.  The queue
 counts the calls it makes, and the results return the counts in ``ops``
-so that callers can audit the bound.
+so that callers can audit the bound.  The set-valued algebras pack each
+element into one ``int``: a bit per target edge, or a reachability matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
-from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_rows, _union_rows
+from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_rows
 from .errors import InputError, RangeError
 from .closure import concat_roundtrip, is_roundtrip_connected, roundtrip_lift
 
@@ -223,31 +226,46 @@ def tinterval() -> WindowAlgebra:
 
 
 def footprint_realization(target: StaticGraph) -> WindowAlgebra:
-    """Smallest r such that every r-window's accumulated edges cover the target."""
+    """Smallest r such that every r-window's accumulated edges cover the target.
+
+    Elements are bitsets over the target's sorted edges; compose is OR.
+    """
+    bit = {e: 1 << i for i, e in enumerate(sorted(target.edges))}
+    full = (1 << len(bit)) - 1
     return WindowAlgebra(
-        lift=lambda i, gs: gs.edges,
-        compose=lambda a, b: a | b,
-        test=lambda edges: target.edges <= edges,
+        lift=lambda i, gs: sum(bit.get(e, 0) for e in gs.edges),
+        compose=operator.or_,
+        test=lambda x: x == full,
         direction="grow",
     )
+
+
+@lru_cache(maxsize=8)
+def _block_ones(n: int) -> int:
+    return sum(1 << i * n for i in range(n))  # bit 0 of every row of a packed n-node matrix
+
+
+def _join_packed(x: int, y: int) -> int:
+    n = math.isqrt(x.bit_length())  # the diagonal puts x's top bit at n*n - 1
+    full, ones, out = (1 << n) - 1, _block_ones(n), 0
+    for j in range(n):  # the rows of x holding column j, widened to whole rows, take y's row j
+        out |= ((x >> j) & ones) * full & ((y >> j * n) & full) * ones
+    return out
 
 
 def tdiameter(kind: str = "strict") -> WindowAlgebra:
     """Smallest r such that every r-window is temporally connected.
 
-    Elements are reachability matrices (bitmask rows, diagonal set so that
-    journeys may wait); compose is the boolean matrix join in window order.
+    Elements are reachability matrices packed into one int, row i of n in bits
+    [i*n, (i+1)*n), diagonal set so that journeys may wait; compose is the
+    boolean matrix join in window order, and a window passes when every bit is set.
     """
     strict = _check_kind(kind)
-
-    def test(rows: list[int]) -> bool:
-        full = (1 << len(rows)) - 1
-        return all(row == full for row in rows)
-
     return WindowAlgebra(
-        lift=lambda i, gs: _hop_rows(gs.nodes, gs.edges, strict),
-        compose=lambda a, b: [_union_rows(row, b) for row in a],
-        test=test,
+        lift=lambda i, gs: sum(row << k * len(gs.nodes)
+                               for k, row in enumerate(_hop_rows(gs.nodes, gs.edges, strict))),
+        compose=_join_packed,
+        test=lambda x: x == (1 << x.bit_length()) - 1,
         direction="grow",
     )
 

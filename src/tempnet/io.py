@@ -64,11 +64,13 @@ def _require_string_ids(nodes):
 def _load_snapshots(data) -> SnapshotSequence:
     try:
         nodes = list(data["nodes"])
-        snaps = [[(u, v) for u, v in snap] for snap in data["snapshots"]]
+        for snap in data["snapshots"]:
+            for u, v in snap:  # the shape check; build canonicalizes the pairs
+                pass
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed snapshot trace: {exc}") from exc
     _require_string_ids(nodes)
-    return SnapshotSequence.build(nodes, snaps)
+    return SnapshotSequence.build(nodes, data["snapshots"])
 
 
 def _load_intervals(data) -> IntervalGraph:
@@ -81,6 +83,8 @@ def _load_intervals(data) -> IntervalGraph:
         span = data.get("lifetime")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed interval trace: {exc}") from exc
+    if span is not None and not (isinstance(span, (list, tuple)) and len(span) == 2):
+        raise InputError(f"malformed interval trace: lifetime must be two times, got {span!r}")
     _require_string_ids(nodes)
     return IntervalGraph.build(nodes, edges, latency=latency, span=span)
 

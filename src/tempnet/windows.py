@@ -51,9 +51,9 @@ def _shortest_passing(seq: SnapshotSequence, node) -> list:
     """
     algebra = tdiameter("strict")
     if node is not None:
-        v = _node_index(seq.nodes)[1][node]
-        full = (1 << len(seq.nodes)) - 1
-        algebra = replace(algebra, test=lambda rows: rows[v] == full)
+        n, v = len(seq.nodes), _node_index(seq.nodes)[1][node]
+        full = (1 << n) - 1
+        algebra = replace(algebra, test=lambda x: (x >> v * n) & full == full)
     return _walk_grow(_Swag(algebra), seq)
 
 

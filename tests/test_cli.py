@@ -401,6 +401,18 @@ def test_non_string_node_ids_exit_1(capsys, tmp_path):
     assert err.startswith("tempnet: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lifetime", [0, True, [], [0], {"a": 1}, [0, 1, 2]])
+def test_malformed_lifetime_exits_1(capsys, tmp_path, lifetime):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "format": "intervals", "nodes": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "intervals": [[0, 1]]}], "lifetime": lifetime,
+    }))
+    assert main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"tempnet: error: malformed interval trace: lifetime must be two times, got {lifetime!r}\n"
+
+
 def test_exit_code_1_on_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])

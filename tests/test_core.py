@@ -77,6 +77,14 @@ def test_sequence_validation_and_indexing():
         SnapshotSequence(frozenset("ab"), ())
 
 
+def test_build_shares_one_tuple_per_distinct_edge():
+    seq = SnapshotSequence.build("abc", [[["a", "b"], ["c", "b"]], [["b", "a"]], [["b", "c"]]])
+    ab = [e for snap in seq.snapshots for e in snap if e == ("a", "b")]
+    bc = [e for snap in seq.snapshots for e in snap if e == ("b", "c")]
+    assert len(ab) == len(bc) == 2
+    assert ab[0] is ab[1] and bc[0] is bc[1]
+
+
 def test_ticks_merge_consecutive_snapshots_into_int_runs():
     seq = seq_of("abc", ["ab"], ["ab", "bc"], ["ab"], [], ["ab"])
     ticks = seq._ticks

@@ -1,13 +1,15 @@
 """Sliding-window property decisions and their operation budgets."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracles
 from conftest import graph_of, seq_of
-from strategies import KINDS, sequences
-from tempnet.core import footprint
+from strategies import KINDS, dense_sequences, sequences
+from tempnet.core import SnapshotSequence, footprint
 from tempnet.errors import InputError, RangeError
 from tempnet.hierarchy import (
     IncrementalDecide,
@@ -19,6 +21,7 @@ from tempnet.hierarchy import (
     tdiameter,
     tinterval,
 )
+from tempnet.windows import sliding_metric
 
 
 def algebra_for(prop, seq, kind):
@@ -68,6 +71,47 @@ def test_incremental_agrees_with_decide(seq, kind, prop, data):
     assert sum(inc.ops.values()) <= 6 * seq.delta
 
 
+@settings(deadline=None)
+@given(dense_sequences(min_n=6, max_n=9, max_delta=8), KINDS, st.sampled_from(["realization", "tdiam"]),
+       st.data())
+def test_packed_algebras_span_several_int_digits(seq, kind, prop, data):
+    # n >= 6 packs 36+ matrix bits, more than one 30-bit digit of a Python int
+    r = data.draw(st.integers(1, seq.delta))
+    alg, target = algebra_for(prop, seq, kind), footprint(seq)
+    assert extremal(alg, seq).value == oracles.brute_extremal(seq, prop, kind=kind, target=target)
+    passes = [oracles.window_passes(seq, prop, s, r, kind=kind, target=target)
+              for s in range(seq.delta - r + 1)]
+    assert decide(alg, seq, r).value == all(passes)
+    inc = IncrementalDecide(alg, r)
+    assert [inc.append(seq.graph_at(i)) for i in range(seq.delta)][r - 1:] == passes
+
+
+@settings(deadline=None)
+@given(dense_sequences(min_n=6, max_n=9, max_delta=8), st.data())
+def test_packed_window_series_span_several_int_digits(seq, data):
+    width = data.draw(st.integers(1, seq.delta))
+    node = data.draw(st.sampled_from(sorted(seq.nodes)))
+    starts = range(seq.delta - width + 1)
+    ecc = {}  # ecc[s, u]: latest foremost arrival from u inside [s, s + width)
+    for s in starts:
+        window = SnapshotSequence(seq.nodes, seq.snapshots[s:s + width])
+        for u in seq.nodes:
+            best = oracles.brute_foremost(window, u, 0, "strict")
+            arrivals = [best.get(v) for v in seq.nodes if v != u]
+            ecc[s, u] = math.inf if None in arrivals else max(arrivals, default=0)
+    tdiam = sliding_metric(seq, "tdiam", width, 1).points
+    assert tdiam == tuple((s, max(ecc[s, u] for u in seq.nodes)) for s in starts)
+    assert sliding_metric(seq, f"ecc:{node}", width, 1).points == tuple((s, ecc[s, node]) for s in starts)
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_tdiameter_on_one_node_and_empty_node_sequences(kind):
+    for nodes in ("a", ""):
+        seq = SnapshotSequence(frozenset(nodes), (frozenset(),) * 3)
+        assert extremal(tdiameter(kind), seq).value == 1
+        assert decide(tdiameter(kind), seq, 3).value
+
+
 def test_constant_sequence_is_interval_connected_throughout():
     seq = seq_of("abc", *(["ab", "bc"] for _ in range(5)))
     assert extremal(tinterval(), seq).value == 5
@@ -93,6 +137,9 @@ def test_realization_unmet_target_is_none():
     seq = seq_of("abc", ["ab"], ["ab"])
     alg = footprint_realization(graph_of("abc", ["ab", "bc"]))
     assert extremal(alg, seq).value is None
+    # a target edge on a node outside the sequence is never seen either
+    outside = seq_of("ab", ["ab"], ["ab"])
+    assert extremal(alg, outside).value is None
 
 
 def test_tdiameter_on_weekly_line(weekly_line):

@@ -88,6 +88,22 @@ def test_load_graph_rejects_malformed(payload):
         load_graph(payload)
 
 
+@pytest.mark.parametrize(
+    "nodes, edge, message",
+    [
+        (["a", "b"], ["a"], "malformed snapshot trace: not enough values to unpack (expected 2, got 1)"),
+        (["a", "b"], [1, "b"], "node ids must be strings, got 1 and 'b'"),
+        (["a", "b"], ["a", "c"], "edge ('a', 'c') has endpoint outside the node set"),
+        # malformed in shape and in ids: the shape is reported first
+        (["a", 2], ["a"], "malformed snapshot trace: not enough values to unpack (expected 2, got 1)"),
+    ],
+)
+def test_snapshot_load_error_messages(nodes, edge, message):
+    with pytest.raises(InputError) as exc:
+        load_graph({"format": "snapshots", "nodes": nodes, "snapshots": [[edge]]})
+    assert str(exc.value) == message
+
+
 def test_lifetime_key_restores_span():
     dumped = dump_graph(
         load_graph(
@@ -96,6 +112,13 @@ def test_lifetime_key_restores_span():
         )
     )
     assert dumped["lifetime"] == [0, 9]
+
+
+def test_lifetime_keeps_fraction_bounds():
+    g = load_graph({"format": "intervals", "nodes": ["a", "b"],
+                    "edges": [{"u": "a", "v": "b", "intervals": [[1, 2]]}], "lifetime": [0, "5/2"]})
+    assert g.span == (0, Fraction(5, 2))
+    assert dump_graph(g)["lifetime"] == [0, "5/2"]
 
 
 def test_closure_dot_is_stable(journey_fig):
