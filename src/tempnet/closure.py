@@ -9,21 +9,21 @@ adjacent windows, which is what makes the divide-and-conquer parameter
 searches in :mod:`tempnet.hierarchy` possible.
 
 All of it runs on the per-snapshot bitsets of ``core._hop_rows``, one bit per
-node.  A round-trip closure keeps per-node threshold masks (the sources that
-arrive by time t, the targets still reached leaving at t) instead of one
-entry per arc, so a compose and a round-trip test cost O(n^2) mask operations.
+node.  A round-trip closure keeps packed reachability matrices by time, and
+composes them with ``core._join_packed``, the product ``hierarchy.tdiameter``
+uses: O(n) big-int operations per row, and O(rows) for a round-trip test.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 from .core import (
-    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _hop_rows,
-    _mask_bits, _node_index, _reach_masks, _tick, _union_rows, edge,
+    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _comb,
+    _hop_matrix, _join_packed, _mask_bits, _node_index, _reach_masks, _tick, edge,
 )
 from .errors import ContractError, InputError
 
@@ -70,19 +70,20 @@ def nonstrict_closure(g: TemporalGraph) -> Closure:
     return _closure(_require_sequence(g), "nonstrict")
 
 
-Rows = tuple[tuple[int, int], ...]  # (time, node mask), one time per row
+Rows = tuple[tuple[int, int], ...]  # (time, packed n-node matrix), one time per row
 
 
 @dataclass(frozen=True)
 class RoundTripClosure:
     """Per-arc earliest arrival and latest departure inside [start, end).
 
-    Nodes are bits in the order of ``_node_index(nodes)``.  ``ea_rows[v]`` holds
-    v's sources as (time, source mask) rows by ascending earliest arrival, so
-    a prefix of rows ORs to a threshold mask; ``ld_rows[u]`` holds u's targets
-    by descending latest departure.  A node sits in at most one row, so rows
-    are canonical and ``==`` compares closures; the lists are read-only.
-    ``arcs`` is the derived view (u, v) -> (ea, ld), built on first use.
+    A matrix packs row i of n (nodes in ``_node_index`` order) into bits
+    [i*n, (i+1)*n) of one int, diagonal set.  ``ea_rows`` holds (t, P) by
+    ascending t: bit (u, v) of P is set when u reaches v arriving by t.
+    ``ld_rows`` holds (s, T) by descending s, transposed: row v of T holds the
+    sources that reach v leaving at s or later.  Rows are cumulative and kept
+    only where the matrix grows (none means the identity), so ``==`` compares
+    closures.  ``arcs``, the view (u, v) -> (ea, ld), costs O(arcs + n*rows).
 
     Loops are implicit: ea(u, u) = start and ld(u, u) = end, the identities
     for composition (sit out a prefix or a suffix of the window).
@@ -91,35 +92,20 @@ class RoundTripClosure:
     nodes: frozenset[str]
     window: tuple[int, int]
     kind: str
-    ea_rows: list[Rows]
-    ld_rows: list[Rows]
-
-    @cached_property
-    def ins(self) -> list[int]:
-        """ins[v] = mask of the sources with a journey to v (rows are disjoint)."""
-        return [sum(m for _, m in rows) for rows in self.ea_rows]
-
-    @cached_property
-    def outs(self) -> list[int]:
-        """outs[u] = mask of the targets u has a journey to."""
-        return [sum(m for _, m in rows) for rows in self.ld_rows]
+    ea_rows: Rows
+    ld_rows: Rows
 
     @cached_property
     def arcs(self) -> dict[tuple[str, str], tuple[int, int]]:
         order = _node_index(self.nodes)[0]
-        ea = {
-            (order[u], order[v]): t
-            for v, rows in enumerate(self.ea_rows)
-            for t, mask in rows
-            for u in _mask_bits(mask)
+        n, full = len(order), (1 << len(order)) - 1
+        ld = {b: s for s, new in _deltas(self.ld_rows, n) for b in _mask_bits(new)}  # bit v*n + u
+        return {
+            (order[u], order[v]): (t, ld[v * n + u])
+            for t, new in _deltas(self.ea_rows, n)
+            for u in range(n) if (row := new >> u * n & full)
+            for v in _mask_bits(row)
         }
-        ld = {
-            (order[u], order[v]): t
-            for u, rows in enumerate(self.ld_rows)
-            for t, mask in rows
-            for v in _mask_bits(mask)
-        }
-        return {pair: (t, ld[pair]) for pair, t in ea.items()}
 
     def ea(self, u: str, v: str) -> Optional[int]:
         return self.window[0] if u == v else self.arcs.get((u, v), (None, None))[0]
@@ -128,38 +114,45 @@ class RoundTripClosure:
         return self.window[1] if u == v else self.arcs.get((u, v), (None, None))[1]
 
 
+def _deltas(rows: Rows, n: int):
+    """(time, the bits that time adds) over cumulative rows, from the identity."""
+    prev = _comb(n, n + 1)
+    for t, matrix in rows:
+        yield t, matrix ^ prev
+        prev = matrix
+
+
 def roundtrip_lift(snapshot: StaticGraph, index: int, kind: str = "strict") -> RoundTripClosure:
-    """Round-trip closure of the single-snapshot window [index, index+1)."""
+    """Round-trip closure of [index, index+1): the symmetric hop matrix is its ea and ld row."""
     strict = _check_kind(kind)
-    rows = [
-        ((index, row ^ 1 << i),) if row != 1 << i else ()
-        for i, row in enumerate(_hop_rows(snapshot.nodes, snapshot.edges, strict))
-    ]
+    rows = ((index, _hop_matrix(snapshot.nodes, snapshot.edges, strict)),) if snapshot.edges else ()
     return RoundTripClosure(snapshot.nodes, (index, index + 1), kind, rows, rows)
 
 
-def _extend(head: Rows, todo: int, tail: Rows, relays: list[int]) -> Rows:
-    """head plus the rows of tail widened by relays, each todo node in its first row."""
-    out = list(head)
-    for t, mask in tail:
-        if not todo:
+def _extend(head: Rows, tail: Rows, n: int) -> Rows:
+    """head, then its last matrix joined with each tail row's new bits, kept where it grows."""
+    if not head:
+        return tail
+    relay = cur = head[-1][1]
+    out, full = list(head), (1 << n * n) - 1
+    for t, new in _deltas(tail, n):
+        if cur == full:
             break
-        wide = (mask | _union_rows(mask, relays)) & todo
-        if wide:
-            out.append((t, wide))
-            todo ^= wide
+        grown = cur | _join_packed(relay, new, n)
+        if grown != cur:
+            out.append((t, grown))
+            cur = grown
     return tuple(out)
 
 
 def concat_roundtrip(first: RoundTripClosure, second: RoundTripClosure) -> RoundTripClosure:
     """Compose closures of adjacent windows A = [a, m) and B = [m, b) into [a, b).
 
-    Every time in A precedes every time in B, so ea(u, v) is ea_A(u, v) when
-    that arc exists and otherwise the least ea_B(w, v) over relays w in
-    {u} + out_A(u); walking v's B rows in ascending time and adding the
-    A-sources of each relay assigns all u at once.  ld is the mirror case:
-    ld_B(u, v) if it exists, else the greatest ld_A(u, w) over w in
-    {v} + in_B(v).  Costs O(n^2) mask operations.
+    Every time in A precedes every time in B, so the ea rows are A's, then
+    R_A . P_B(t) for each B row, R_A being A's last ea matrix (u ~> w in A,
+    then w ~> v by t in B).  ld mirrors it: B's rows, then R_B' . T_A(s) for
+    each A row.  Each step joins only the bits new at that time: O(n) big-int
+    operations per row of the result.
     """
     if first.nodes != second.nodes:
         raise ContractError("round-trip closures are over different node sets")
@@ -169,18 +162,10 @@ def concat_roundtrip(first: RoundTripClosure, second: RoundTripClosure) -> Round
         raise ContractError(
             f"windows {first.window} and {second.window} are not adjacent"
         )
-    full = (1 << len(first.nodes)) - 1
-    ins_a, outs_b = first.ins, second.outs
-    ea_rows = [
-        _extend(rows, full & ~(ins_a[v] | 1 << v), second.ea_rows[v], ins_a)
-        for v, rows in enumerate(first.ea_rows)
-    ]
-    ld_rows = [
-        _extend(rows, full & ~(outs_b[u] | 1 << u), first.ld_rows[u], outs_b)
-        for u, rows in enumerate(second.ld_rows)
-    ]
+    n = len(first.nodes)
     return RoundTripClosure(
-        first.nodes, (first.window[0], second.window[1]), first.kind, ea_rows, ld_rows
+        first.nodes, (first.window[0], second.window[1]), first.kind,
+        _extend(first.ea_rows, second.ea_rows, n), _extend(second.ld_rows, first.ld_rows, n),
     )
 
 
@@ -195,32 +180,28 @@ def roundtrip_closure(
     start, end = _tick(window[0], "window bound"), _tick(window[1], "window bound")
     if not 0 <= start < end <= seq.delta:
         raise InputError(f"window [{start}, {end}) outside 0..{seq.delta}")
-    acc = roundtrip_lift(seq.graph_at(start), start, kind)
-    for i in range(start + 1, end):
-        acc = concat_roundtrip(acc, roundtrip_lift(seq.graph_at(i), i, kind))
-    return acc
+    lifts = (roundtrip_lift(seq.graph_at(i), i, kind) for i in range(start, end))
+    return reduce(concat_roundtrip, lifts)
 
 
 def is_roundtrip_connected(rt: RoundTripClosure) -> bool:
     """Every ordered pair has a journey and a return departing after arrival.
 
-    Each source u of v needs ea(u, v) < ld(v, u) (<= when non-strict): a
-    two-pointer merge of v's ea rows, latest first, against its ld rows.
+    The last ea matrix must be full, and a pair (u, v) first reached at t needs
+    ld(v, u) > t (>= when non-strict): the bits ea row t adds lie in the ld
+    matrix at t + 1 (at t).  A two-pointer merge, latest first, O(rows).
     """
-    full = (1 << len(rt.nodes)) - 1
-    strict = rt.kind == "strict"
-    for v, (ea_rows, ld_rows) in enumerate(zip(rt.ea_rows, rt.ld_rows)):
-        if rt.ins[v] | 1 << v != full or rt.outs[v] | 1 << v != full:
+    n = len(rt.nodes)
+    back = _comb(n, n + 1)  # the ld matrix for the current arrival, identity before any row
+    if (rt.ea_rows[-1][1] if rt.ea_rows else back) != (1 << n * n) - 1:
+        return False
+    lds, k, wait = rt.ld_rows, 0, int(rt.kind == "strict")
+    for t, new in reversed(list(_deltas(rt.ea_rows, n))):
+        while k < len(lds) and lds[k][0] >= t + wait:
+            back = lds[k][1]
+            k += 1
+        if new & ~back:
             return False
-        back = 0  # targets u with ld(v, u) late enough for the current arrival
-        k = 0
-        for t, sources in reversed(ea_rows):
-            late = t + 1 if strict else t
-            while k < len(ld_rows) and ld_rows[k][0] >= late:
-                back |= ld_rows[k][1]
-                k += 1
-            if sources & ~back:
-                return False
     return True
 
 

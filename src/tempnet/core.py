@@ -68,6 +68,22 @@ def _union_rows(mask: int, rows: Sequence[int]) -> int:
     return acc
 
 
+@lru_cache(maxsize=16)
+def _comb(n: int, step: int) -> int:
+    """n bits, every step-th: a packed n-node matrix's column 0 (step n) or diagonal (n + 1)."""
+    return sum(1 << i * step for i in range(n))
+
+
+def _join_packed(x: int, y: int, n: int) -> int:
+    """Boolean product of packed n-node matrices (row i in bits [i*n, (i+1)*n)), x's steps first."""
+    full, ones, out = (1 << n) - 1, _comb(n, n), 0
+    for j in range(n):  # the rows of x holding column j, widened to whole rows, take y's row j
+        row = (y >> j * n) & full
+        if row:
+            out |= ((x >> j) & ones) * full & row * ones
+    return out
+
+
 def _hop_rows(nodes: frozenset[str], edges: Iterable[Edge], strict: bool,
               masks: Sequence[int] | None = None) -> list[int]:
     """rows[i] = OR of masks[j] over the nodes j that i reaches within one snapshot.
@@ -99,6 +115,12 @@ def _hop_rows(nodes: frozenset[str], edges: Iterable[Edge], strict: bool,
                 rows[j] = joined
             done |= comp
     return rows
+
+
+def _hop_matrix(nodes: frozenset[str], edges: Iterable[Edge], strict: bool) -> int:
+    """The snapshot's hop rows packed into one int, row i of n in bits [i*n, (i+1)*n)."""
+    n = len(nodes)
+    return sum(row << i * n for i, row in enumerate(_hop_rows(nodes, edges, strict)))
 
 
 def _reach_masks(seq: SnapshotSequence, strict: bool, within: frozenset[str] | None = None):
@@ -202,7 +224,8 @@ class StaticGraph:
         return [frozenset(order[j] for j in _mask_bits(row)) for row in rows]
 
     def is_connected(self) -> bool:
-        return len(self.nodes) <= 1 or len(self.connected_components()) == 1
+        n = len(self.nodes)
+        return n <= 1 or _hop_rows(self.nodes, self.edges, strict=False)[0] == (1 << n) - 1
 
     def is_complete(self) -> bool:
         n = len(self.nodes)

@@ -25,10 +25,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
-from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_rows
+from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_matrix, _join_packed
 from .errors import InputError, RangeError
 from .closure import concat_roundtrip, is_roundtrip_connected, roundtrip_lift
 
@@ -240,31 +239,17 @@ def footprint_realization(target: StaticGraph) -> WindowAlgebra:
     )
 
 
-@lru_cache(maxsize=8)
-def _block_ones(n: int) -> int:
-    return sum(1 << i * n for i in range(n))  # bit 0 of every row of a packed n-node matrix
-
-
-def _join_packed(x: int, y: int) -> int:
-    n = math.isqrt(x.bit_length())  # the diagonal puts x's top bit at n*n - 1
-    full, ones, out = (1 << n) - 1, _block_ones(n), 0
-    for j in range(n):  # the rows of x holding column j, widened to whole rows, take y's row j
-        out |= ((x >> j) & ones) * full & ((y >> j * n) & full) * ones
-    return out
-
-
 def tdiameter(kind: str = "strict") -> WindowAlgebra:
     """Smallest r such that every r-window is temporally connected.
 
     Elements are reachability matrices packed into one int, row i of n in bits
-    [i*n, (i+1)*n), diagonal set so that journeys may wait; compose is the
-    boolean matrix join in window order, and a window passes when every bit is set.
+    [i*n, (i+1)*n), diagonal set so that journeys may wait (its top bit gives n);
+    compose is ``core._join_packed``, and a window passes when every bit is set.
     """
     strict = _check_kind(kind)
     return WindowAlgebra(
-        lift=lambda i, gs: sum(row << k * len(gs.nodes)
-                               for k, row in enumerate(_hop_rows(gs.nodes, gs.edges, strict))),
-        compose=_join_packed,
+        lift=lambda i, gs: _hop_matrix(gs.nodes, gs.edges, strict),
+        compose=lambda x, y: _join_packed(x, y, math.isqrt(x.bit_length())),
         test=lambda x: x == (1 << x.bit_length()) - 1,
         direction="grow",
     )

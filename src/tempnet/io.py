@@ -78,7 +78,7 @@ def _load_intervals(data) -> IntervalGraph:
         nodes = list(data["nodes"])
         edges = {}
         for rec in data["edges"]:
-            edges[(rec["u"], rec["v"])] = [tuple(iv) for iv in rec["intervals"]]
+            edges[(rec["u"], rec["v"])] = [(a, b) for a, b in rec["intervals"]]
         latency = data.get("latency", 1)
         span = data.get("lifetime")
     except (KeyError, TypeError, ValueError) as exc:

@@ -50,6 +50,8 @@ def run(
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if not seq.nodes:
+        raise InputError("relabeling needs at least one node")
     rng = rng or random.Random(0)
     if schedule is None:
         schedule = fair_schedule(seq, rng, extra=2)

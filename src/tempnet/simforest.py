@@ -52,23 +52,23 @@ def init(seq: SnapshotSequence) -> ForestState:
 
 
 def check_invariants(state: ForestState):
-    if state.tokens != state.roots():
+    parent = state.parent
+    if state.tokens != {v for v, p in parent.items() if p is None}:
         raise ContractError("token holders differ from the forest roots")
     snap = state.current
-    for child, par in state.parent.items():
-        if par is not None and edge(child, par) not in snap:
+    for child, par in parent.items():
+        if par is not None and ((child, par) if child < par else (par, child)) not in snap:
             raise ContractError(f"tree edge {child!r}->{par!r} not in the snapshot")
-    # cycle check by walking parent chains with a visit stamp
-    done: set[str] = set()
-    for v in state.parent:
-        path = []
-        x = v
-        while x is not None and x not in done:
+    # cycle check: walk each parent chain until it meets a node known to reach a root
+    rooted: set[str] = set()
+    for v in parent:
+        path, x = set(), v
+        while x is not None and x not in rooted:
             if x in path:
                 raise ContractError(f"cycle in parent pointers through {x!r}")
-            path.append(x)
-            x = state.parent[x]
-        done.update(path)
+            path.add(x)
+            x = parent[x]
+        rooted |= path
 
 
 def select_edge(
@@ -169,6 +169,8 @@ def run(
     Each row reports the snapshot's connected component count, the number of
     trees, the trees inside each component, and trees per component.
     """
+    if not seq.nodes:
+        raise InputError("the forest simulation needs at least one node")
     rng = rng or random.Random(0)
     if schedule is None:
         schedule = fair_schedule(seq, rng)

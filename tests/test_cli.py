@@ -413,6 +413,32 @@ def test_malformed_lifetime_exits_1(capsys, tmp_path, lifetime):
     assert err == f"tempnet: error: malformed interval trace: lifetime must be two times, got {lifetime!r}\n"
 
 
+@pytest.mark.parametrize("verb, message", [
+    (["sim", "forest"], "the forest simulation needs at least one node"),
+    (["sim", "relabel", "--algorithm", "count-uniform"], "relabeling needs at least one node"),
+    (["sim", "relabel", "--algorithm", "count-circulate"], "relabeling needs at least one node"),
+], ids=["forest", "count-uniform", "count-circulate"])
+def test_simulations_on_an_empty_node_set_exit_1(capsys, tmp_path, verb, message):
+    # used to end in ZeroDivisionError (forest) and ValueError from max() (counting)
+    path = tmp_path / "empty.json"
+    path.write_text('{"format":"snapshots","nodes":[],"snapshots":[[]]}')
+    assert main([*verb, str(path)]) == 1
+    assert capsys.readouterr().err == f"tempnet: error: {message}\n"
+
+
+@pytest.mark.parametrize("interval", [[], [0], [0, 1, 2]])
+def test_interval_without_two_bounds_exits_1(capsys, tmp_path, interval):
+    # used to end in a ValueError traceback from unpacking inside IntervalGraph.build
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "format": "intervals", "nodes": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "intervals": [interval]}],
+    }))
+    assert main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tempnet: error: malformed interval trace:") and err.count("\n") == 1
+
+
 def test_exit_code_1_on_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])

@@ -19,6 +19,7 @@ from tempnet.closure import (
     strict_closure,
 )
 from tempnet.errors import ContractError, InputError, RangeError
+from tempnet.hierarchy import extremal, rt_tdiameter
 
 
 def test_closure_fig_exact_arcs(closure_fig):
@@ -117,6 +118,49 @@ def test_roundtrip_kernel_composes_every_window(seq, kind):
                 left = concat_roundtrip(concat_roundtrip(rt[a, m], rt[m, m2]), rt[m2, b])
                 right = concat_roundtrip(rt[a, m], concat_roundtrip(rt[m, m2], rt[m2, b]))
                 assert left == right == whole
+
+
+@settings(deadline=None)
+@given(dense_sequences(min_n=8, max_n=11, max_delta=5), KINDS)
+def test_roundtrip_matrices_span_several_int_digits(seq, kind):
+    # n >= 8 packs 64+ matrix bits, so rows and products cross 30-bit int digits
+    rt = {
+        (a, b): roundtrip_closure(seq, (a, b), kind)
+        for a in range(seq.delta)
+        for b in range(a + 1, seq.delta + 1)
+    }
+    for (a, b), whole in rt.items():
+        assert whole.arcs == oracles.brute_rt_arcs(seq, a, b, kind)
+        assert is_roundtrip_connected(whole) == oracles.brute_rt_connected(seq, a, b, kind)
+        for m in range(a + 1, b):
+            assert concat_roundtrip(rt[a, m], rt[m, b]) == whole
+    assert extremal(rt_tdiameter(kind), seq).value == oracles.brute_extremal(seq, "rtdiam", kind)
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+@pytest.mark.parametrize("nodes", ["", "a"])
+def test_roundtrip_on_one_node_and_empty_node_sequences(nodes, kind):
+    seq = seq_of(nodes, [], [], [])
+    rt = roundtrip_closure(seq, kind=kind)
+    assert rt.arcs == {} and rt.ea_rows == rt.ld_rows == ()
+    assert is_roundtrip_connected(rt)
+    result = extremal(rt_tdiameter(kind), seq)
+    assert result.value == 1
+    assert result.ops == {"compose": 0, "test": 3}
+
+
+@pytest.mark.parametrize("other, message", [
+    (lambda seq: roundtrip_closure(seq_of("abc", ["ab"], ["bc"]), (1, 2)),
+     "round-trip closures are over different node sets"),
+    (lambda seq: roundtrip_closure(seq, (1, 2), "nonstrict"),
+     "cannot mix strict and non-strict round-trip closures"),
+    (lambda seq: roundtrip_closure(seq, (2, 3)),
+     r"windows \(0, 1\) and \(2, 3\) are not adjacent"),
+], ids=["node-sets", "kinds", "windows"])
+def test_concat_roundtrip_rejects_mismatched_closures(other, message):
+    seq = seq_of("ab", ["ab"], [], ["ab"])
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        concat_roundtrip(roundtrip_closure(seq, (0, 1)), other(seq))
 
 
 @pytest.mark.parametrize("make", [

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from conftest import graph_of, seq_of
 from strategies import interval_graphs, sequences
@@ -208,3 +210,15 @@ def test_induced_sequence(journey_fig):
     assert sub.nodes == frozenset("abc")
     assert sub.snapshots[0] == frozenset({("a", "c"), ("b", "c")})
     assert sub.snapshots[3] == frozenset()
+
+
+@given(st.integers(0, 9), st.data())
+def test_is_connected_matches_networkx(n, data):
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    oracle = nx.Graph()
+    oracle.add_nodes_from(names)
+    oracle.add_edges_from(edges)
+    # networkx leaves the null graph undefined; one node or none counts as connected
+    assert StaticGraph.build(names, edges).is_connected() == (n == 0 or nx.is_connected(oracle))

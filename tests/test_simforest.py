@@ -164,3 +164,28 @@ def test_run_static_step_cap():
     g = graph_of("ab", ["ab"])
     with pytest.raises(ContractError):
         simforest.run_static(g, rng=random.Random(0), max_steps=0)
+
+
+def _corrupt(parent, tokens, snapshot):
+    # parent is a list of (child, parent) pairs, checked in this order
+    nodes = "".join(v for v, _ in parent)
+    state = simforest.init(seq_of(nodes, snapshot))
+    state.parent = dict(parent)
+    state.tokens = set(tokens)
+    return state
+
+
+@pytest.mark.parametrize("state, message", [
+    (_corrupt([("a", None), ("b", "a")], "ab", ["ab"]), "token holders differ from the forest roots"),
+    (_corrupt([("a", None), ("b", None)], "a", []), "token holders differ from the forest roots"),
+    (_corrupt([("a", None), ("b", "a"), ("c", "b")], "a", ["ab"]),
+     "tree edge 'c'->'b' not in the snapshot"),
+    (_corrupt([("a", "b"), ("b", "a")], "", ["ab"]), "cycle in parent pointers through 'a'"),
+    (_corrupt([("t", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("r", None)], "r",
+              ["bt", "ab", "bc", "ac"]),
+     "cycle in parent pointers through 'b'"),  # the walk from t enters the cycle at b
+], ids=["token-on-non-root", "root-without-token", "absent-tree-edge", "2-cycle",
+        "3-cycle-through-a-tail"])
+def test_check_invariants_names_each_corruption(state, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        simforest.check_invariants(state)
