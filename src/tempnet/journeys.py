@@ -203,6 +203,8 @@ def _foremost(ig, src, t0, kind, dep_hi):
     def relax_from(x, base_arr, base_hops, is_start):
         dep_lb = base_arr if (is_start or strict) else base_arr - zeta
         for y, ivs in ig.incident[x]:
+            if y in arrival:
+                continue  # settled: an entry toward y would be popped and dropped
             for a, b in ivs:
                 s = max(dep_lb, a)
                 if s + zeta > b:
@@ -499,13 +501,28 @@ def steady_progress_alpha(
             for j in range(1, n + 1)
             if 0 <= Fraction(d2 - d1 - k * g.latency, j) <= span
         } | {Fraction(0), span})
-    feasible = lambda alpha: all(_alpha_ok(ig, a, b, wlo, whi, alpha, gap, cost) for a, b in pairs)
-    if not feasible(cands[-1]):
-        return None
-    lo_i, hi_i = 0, len(cands) - 1
+    # Feasibility is monotone: a pair feasible at cands[i] is feasible above
+    # it, so each pair keeps the least index it is known feasible at.  Every
+    # index tested lies above every failed one, so failures need no memory.
+    ok_from = [len(cands)] * len(pairs)
+
+    def feasible(i):
+        for k, (a, b) in enumerate(pairs):
+            if ok_from[k] > i:
+                if not _alpha_ok(ig, a, b, wlo, whi, cands[i], gap, cost):
+                    return False
+                ok_from[k] = i
+        return True
+
+    # gallop up from 0 (indices 0, 1, 3, 7, ...), then bisect the last gap
+    lo_i, hi_i = 0, 0
+    while not feasible(hi_i):
+        if hi_i == len(cands) - 1:
+            return None
+        lo_i, hi_i = hi_i + 1, min(2 * hi_i + 1, len(cands) - 1)
     while lo_i < hi_i:
         mid = (lo_i + hi_i) // 2
-        if feasible(cands[mid]):
+        if feasible(mid):
             hi_i = mid
         else:
             lo_i = mid + 1

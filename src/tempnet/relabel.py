@@ -96,11 +96,12 @@ def run(
         for t in range(seq.delta):
             for u, v in schedule[t]:
                 if counts[u] > 0 and counts[v] > 0:
+                    pair = counts[u] + counts[v]
                     receiver, giver = (u, v) if u < v else (v, u)
                     counts[receiver] += counts[giver]
                     counts[giver] = 0
-                if sum(counts.values()) != n:
-                    raise ContractError("count-uniform lost conservation")
+                    if counts[u] + counts[v] != pair:  # a merge moves weight between u and v only
+                        raise ContractError("count-uniform lost conservation")
         return {
             "algorithm": algorithm,
             "success": max(counts.values()) == n,
@@ -113,18 +114,15 @@ def run(
     for t in range(seq.delta):
         if t > 0:
             advance_snapshot(state)
-        for e in schedule[t]:
-            before = set(state.tokens)
-            select_edge(state, e, rng=rng, merge_rule="min")
-            gained = state.tokens - before
-            lost = before - state.tokens
-            if lost:
-                src = lost.pop()
-                dst = gained.pop() if gained else next(x for x in e if x in state.tokens)
+        for u, v in schedule[t]:
+            # a merge or a circulation leaves the token on one endpoint only
+            if select_edge(state, (u, v), rng=rng, merge_rule="min") != "noop":
+                dst, src = (u, v) if u in state.tokens else (v, u)
+                pair = counts[u] + counts[v]
                 counts[dst] += counts[src]
                 counts[src] = 0
-            if sum(counts.values()) != n:
-                raise ContractError("count-circulate lost conservation")
+                if counts[u] + counts[v] != pair:
+                    raise ContractError("count-circulate lost conservation")
     return {
         "algorithm": algorithm,
         "success": max(counts.values()) == n,

@@ -504,3 +504,42 @@ def broadcast_under(seq, schedule, emitter):
             if u in informed or v in informed:
                 informed |= {u, v}
     return frozenset(informed)
+
+
+def circulate_counts(seq, schedule):
+    """count-circulate replayed on its own copy of the forest process.
+
+    Tokens start on every node; selecting edge (u, v) with u < v merges v
+    under u when both hold tokens, or walks u's token down to its child v
+    (or v's to u); a new snapshot turns children whose tree edge vanished
+    into token holders.  The token sets before and after each selection
+    tell which node lost its token and which one holds it: that node takes
+    the lost weight.
+    """
+    parent = {v: None for v in seq.nodes}
+    tokens = set(seq.nodes)
+    counts = {v: 1 for v in seq.nodes}
+    for t, round_edges in enumerate(schedule):
+        if t > 0:
+            for c, p in sorted(parent.items()):
+                if p is not None and edge(c, p) not in seq.snapshots[t]:
+                    parent[c] = None
+                    tokens.add(c)
+        for u, v in (edge(*e) for e in round_edges):
+            before = set(tokens)
+            if u in tokens and v in tokens:
+                parent[v] = u
+                tokens.discard(v)
+            else:
+                for root, other in ((u, v), (v, u)):
+                    if root in tokens and parent[other] == root:
+                        parent[root], parent[other] = other, None
+                        tokens = tokens - {root} | {other}
+                        break
+            lost, gained = before - tokens, tokens - before
+            if lost:
+                src = lost.pop()
+                dst = gained.pop() if gained else (u if u in tokens else v)
+                counts[dst] += counts[src]
+                counts[src] = 0
+    return dict(sorted(counts.items()))

@@ -12,6 +12,7 @@ import oracles
 from conftest import long_line, seq_of
 from strategies import KINDS, interval_graphs, sequences
 from tempnet.core import IntervalGraph, to_intervals
+from tempnet import journeys
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.journeys import (
     INF,
@@ -449,6 +450,53 @@ def test_interval_alpha_nonstrict_hops_may_share_an_instant():
     assert steady_progress_alpha(g, pair=("a", "c")) is None
     assert steady_progress_alpha(g, pair=("a", "c"), kind="nonstrict") == 0
     assert earliest_arrival(g, "a", 0, "nonstrict").arrival["c"] == 1
+
+
+def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
+    # every edge of K6 is present on one shared interval
+    nodes = [f"v{i}" for i in range(6)]
+    g = IntervalGraph.build(
+        nodes, {(a, b): [(0, 10)] for a, b in itertools.combinations(nodes, 2)}, latency=1
+    )
+    pushes = []
+    real_push = journeys.heapq.heappush
+    monkeypatch.setattr(
+        journeys.heapq, "heappush", lambda heap, item: (pushes.append(item), real_push(heap, item))
+    )
+    for kind in ("strict", "nonstrict"):
+        pushes.clear()
+        table = earliest_arrival(g, "v0", 0, kind)
+        assert table.arrival == {v: 0 if v == "v0" else 1 for v in nodes}
+        # 5 from the source, then the k-th settled node pushes toward the 6 - k
+        # nodes still open (the source included): 5 + 5 + 4 + 3 + 2 + 1, where
+        # pushing toward every neighbour makes 35
+        assert len(pushes) == 20
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+@pytest.mark.parametrize("seq, want", [
+    (seq_of("abc", ["ab", "bc", "ac"]), 0),  # the first candidate
+    (seq_of("ab", [], [], [], [], [], ["ab"]), 5),  # the last candidate, delta - 1
+    (seq_of("abc", ["ab"], ["ab"]), None),  # c is never reached
+])
+def test_alpha_search_ends_on_sequences(seq, want, kind):
+    assert oracles.brute_alpha(seq, kind) == want
+    assert steady_progress_alpha(seq, kind=kind) == want
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+@pytest.mark.parametrize("nodes, edges, want", [
+    # the first candidate
+    ("abc", {("a", "b"): [(0, 4)], ("b", "c"): [(0, 4)], ("a", "c"): [(0, 4)]}, 0),
+    # the one hop fits only at 3 = span - zeta, the largest wait a journey in
+    # [0, 4) can need; only the span itself, never needed, lies above it
+    ("ab", {("a", "b"): [(3, 5)]}, 3),
+    ("abc", {("a", "b"): [(0, 4)]}, None),  # c is never reached
+])
+def test_alpha_search_ends_on_interval_graphs(nodes, edges, want, kind):
+    g = IntervalGraph.build(nodes, edges, latency=1)
+    assert oracles.brute_alpha_intervals(g, kind, 0, 4) == want
+    assert steady_progress_alpha(g, (0, 4), kind) == want
 
 
 def test_alpha_on_a_long_line_needs_no_recursion():

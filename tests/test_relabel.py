@@ -18,6 +18,7 @@ from tempnet.relabel import (
     check_conditions,
     run,
 )
+from tempnet.simforest import fair_schedule
 
 
 def reach_set(closure, src):
@@ -159,6 +160,13 @@ def test_count_circulate_on_star():
 def test_count_circulate_conserves_total(seq, seed):
     result = run(seq, "count-circulate", rng=random.Random(seed))
     assert sum(result["counts"].values()) == len(seq.nodes)
+
+
+@given(sequences(max_n=5, max_delta=4), st.integers(0, 2**32 - 1))
+def test_count_circulate_matches_token_set_replay(seq, seed):
+    schedule = fair_schedule(seq, random.Random(seed), extra=2)
+    result = run(seq, "count-circulate", schedule=schedule)
+    assert result["counts"] == oracles.circulate_counts(seq, schedule)
 
 
 def test_count_circulate_has_no_structural_conditions(journey_fig):
