@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Compare the journey kernels of this checkout with those of an earlier commit.
 
-    python3 scripts/differential.py --base REV [--cases 300] [--seed 0] [--show 5]
+    python3 scripts/differential.py --base REV [--cases 300] [--seed 0]
 
 Unpacks ``git archive REV src`` into a temporary directory and runs the same
 seeded cases twice, in one subprocess per tree: the base commit's ``src/``
@@ -183,7 +183,6 @@ def main() -> int:
     ap.add_argument("--base", help="commit to compare with (anything git rev-parse takes)")
     ap.add_argument("--cases", type=int, default=300, help="random graphs, half of each model")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--show", type=int, default=5, help="differences to print")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
@@ -214,7 +213,7 @@ def main() -> int:
     for name, (n, d) in sorted(counts.items()):
         print(f"  {name:26} {n:6} calls {d:6} differences")
     print(f"  {'total':26} {len(base):6} calls {len(diffs):6} differences")
-    for name, where, want, got in diffs[:args.show]:
+    for name, where, want, got in diffs[:5]:
         print(f"\n{name}, {where}:")
         print(f"  base: {json.dumps(want)[:400]}\n  here: {json.dumps(got)[:400]}")
     return 1 if diffs else 0
