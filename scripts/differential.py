@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Compare the journey kernels of this checkout with those of an earlier commit.
+"""Compare the journey kernels and the CLI of this checkout with an earlier commit.
 
     python3 scripts/differential.py --base REV [--cases 300] [--seed 0]
 
@@ -14,16 +14,23 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
   the interval ``sliding_metric``;
 * ``steady_progress_alpha`` for both kinds, with and without ``pair`` and
   ``window``;
-* the ``relabel.run`` counting protocols.
+* the ``relabel.run`` counting protocols;
+* every ``tempnet`` verb through ``tempnet.cli.main``, all in the worker's one
+  process: random options on the case's trace (a JSON file, a link-stream
+  CSV or stdin), now and then with ``--out FILE``, plus one usage error or
+  ``--help`` per case.
 
 Each result is compared as a value together with its types, and each raised
-error by its type and message.  Prints the number of cases and differences
-per function, then the first differences.  Exits 1 when any case differs.
+error by its type and message; each CLI call by its exit code, stdout,
+stderr and the ``--out`` file.  Prints the number of cases and differences
+per function or verb, then the first differences.  Exits 1 when any case
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -127,6 +134,117 @@ def calls_for(rng: random.Random, g, discrete: bool):
     return out
 
 
+def cli_calls_for(rng: random.Random, g, discrete: bool):
+    """(verb, argv, stdin) triples on a trace of g written to the working directory."""
+    from tempnet.io import dump_graph, dump_linkstream
+
+    nodes = sorted(g.nodes)
+    hi = g.delta if discrete else int(g.span[1])
+    if discrete or rng.random() < 0.5:
+        path, text = "trace.json", json.dumps(dump_graph(g))
+    else:
+        path, text = "trace.csv", dump_linkstream(g)
+    Path(path).write_text(text)
+
+    def src():
+        return rng.choice((path, path, "-"))
+
+    def when():
+        t = rng.randint(0, hi) if discrete else random_time(rng, hi)
+        return str(Fraction(1, 2) + t if rng.random() < 0.05 else t)
+
+    def node():
+        return rng.choice(nodes) if rng.random() < 0.95 else "nobody"
+
+    def kind():
+        return ["--kind", rng.choice(KINDS)]
+
+    def maybe(*options):
+        return list(options) if rng.random() < 0.5 else []
+
+    mode = rng.choice(("foremost", "shortest", "fastest", "latest-departure",
+                       "validate", "disjoint", "separator"))
+    journey = ["journey", src(), "--mode", mode, "--from", node(), "--to", node(), *kind()]
+    if mode == "fastest":
+        journey += maybe("--window", when(), when())
+    elif mode == "validate":
+        walk = [rng.choice(nodes)]
+        for _ in range(rng.randint(1, 3)):
+            walk.append(rng.choice([v for v in nodes if v != walk[-1]]))
+        times = sorted((when() for _ in walk[1:]), key=Fraction)
+        hops = [[u, v, t] for u, v, t in zip(walk, walk[1:], times)]
+        Path("journey.json").write_text(json.dumps({"hops": hops, "kind": rng.choice(KINDS)}))
+        # mostly the walk; now and then no file, or a file that holds no journey
+        journey += rng.choice(([], ["--journey", path], ["--journey", "journey.json"],
+                               ["--journey", "journey.json"]))
+    elif mode not in ("disjoint", "separator"):
+        journey += ["--at", when()]
+    name = rng.choice(("tinterval", "delta", "tdiam", "rtdiam", "period", "alpha"))
+    param = ["param", src(), "--name", name, *kind()]
+    if name == "alpha":
+        param += maybe("--pair", node(), node()) + maybe("--window", when(), when())
+    else:
+        param += maybe("--decide", str(rng.randint(0, hi + 1)))
+    algorithm = rng.choice(("broadcast", "count-sentinel", "count-uniform", "count-circulate"))
+    step = Fraction(1, 1 if discrete else rng.choice(DENOMINATORS))
+    calls = [
+        ("stats", ["stats", src()]),
+        ("convert", ["convert", src(), "--to",
+                     rng.choice(("snapshots", "intervals", "linkstream", "dot"))]
+                    + maybe("--latency", rng.choice(("0", "1/3", "1")))),
+        ("closure", ["closure", src(), *kind()]
+                    + rng.choice(([], ["--dot"], ["--roundtrip"],
+                                  ["--roundtrip", "--window", when(), when()]))),
+        ("classify", ["classify", src()]),
+        ("param", param),
+        ("journey", journey),
+        ("components", ["components", src(), *kind()]),
+        ("robust-mis", ["robust-mis", src()] + maybe("--check", *rng.sample(nodes, 2))),
+        ("sim forest", ["sim", "forest", src(), "--seed", str(rng.randint(0, 9)),
+                        "--merge-rule", rng.choice(("min", "random"))] + maybe("--checks")),
+        ("sim relabel", ["sim", "relabel", src(), "--algorithm", algorithm, "--runs", "3",
+                         "--emitter", node(), "--sentinel", node()]
+                        + maybe("--seed", str(rng.randint(0, 9)))),
+        ("windows", ["windows", src(), "--metric",
+                     rng.choice(("tc", "tdiam", f"ecc:{node()}")),
+                     "--width", str(rng.randint(1, hi)), "--step", str(step * rng.randint(1, 2))]),
+        ("usage", rng.choice((
+            [], ["nope"], ["stats"], ["stats", path, "--bogus"], ["journey", path],
+            ["param", path, "--name", "nope"], ["sim"], ["sim", "relabel", path],
+            ["robust-mis", path, "--limit-n", "x"], ["--out"], ["--help"],
+            ["journey", "--help"], ["sim", "forest", "-h"],
+        ))),
+    ]
+    out = []
+    for verb, argv in calls:
+        if rng.random() < 0.1:
+            argv = ["--out", "out.txt", *argv]
+        out.append((verb, argv, text if "-" in argv else ""))
+    return out
+
+
+def run_cli(argv: list[str], stdin: str) -> list:
+    from tempnet.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors and --help
+                code = exc.code
+            except Exception as exc:  # a traceback is an outcome to compare too
+                code = ["crash", type(exc).__name__, str(exc)]
+    finally:
+        sys.stdin = saved
+    written = Path("out.txt")
+    result = ["exit", code, out.getvalue(), err.getvalue(),
+              written.read_text() if written.exists() else None]
+    written.unlink(missing_ok=True)
+    return result
+
+
 # ---------------------------------------------------------------- one tree
 
 
@@ -164,6 +282,10 @@ def worker(src: str, cases: int, seed: int) -> None:
             except Exception as e:  # an error is an outcome to compare too
                 result = ["error", type(e).__name__, str(e)]
             print(json.dumps([name, f"case {case} call {i}", result]))
+        cli_rng = random.Random(f"cli/{seed}/{case}")
+        for i, (verb, argv, stdin) in enumerate(cli_calls_for(cli_rng, g, discrete)):
+            print(json.dumps([f"cli {verb}", f"case {case}: tempnet {' '.join(argv)}",
+                              run_cli(argv, stdin)]))
 
 
 def run_tree(src: Path, args) -> list:
@@ -171,7 +293,10 @@ def run_tree(src: Path, args) -> list:
            "--cases", str(args.cases), "--seed", str(args.seed)]
     # one hash seed for both runs, so dicts built from node sets list them alike
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONHASHSEED": "0"}
-    done = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    # the CLI cases write their traces to the working directory, the same
+    # relative names in both runs
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
     if done.returncode != 0:
         sys.exit(f"differential: the run on {src} failed:\n{done.stderr}")
     return [json.loads(line) for line in done.stdout.splitlines()]

@@ -16,6 +16,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import classes, closure as closure_mod, hierarchy, relabel, simforest
@@ -295,7 +296,14 @@ def _add_limit(p):
                    help="desk-scale bound override; 0 disables it")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Reuse is safe: parsing keeps its state in a fresh namespace, the handlers
+    are bound with ``set_defaults``, and usage errors read ``sys.stderr`` when
+    they are reported.  Do not change the returned parser; ``main`` uses it.
+    """
     parser = _Parser(prog="tempnet", description=__doc__)
     parser.add_argument("--out", help="write output to this file instead of stdout")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -393,8 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb and return its exit code; usage errors raise ``SystemExit(1)``.
+
+    The parser is built once per process, so ``main`` may be called
+    repeatedly, and each call behaves as if it were the first.
+    """
+    args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
     except ContractError as exc:

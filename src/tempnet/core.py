@@ -209,6 +209,14 @@ class StaticGraph:
         node_set = frozenset(nodes)
         return StaticGraph(node_set, frozenset(edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _trusted(cls, nodes: frozenset[str], edges: frozenset[Edge]) -> "StaticGraph":
+        """A graph whose edges were already checked: a validated snapshot or a subset of one."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "nodes", nodes)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.nodes}
@@ -260,7 +268,7 @@ class SnapshotSequence:
     def graph_at(self, t: int) -> StaticGraph:
         if not isinstance(t, int) or not 0 <= t < self.delta:
             raise RangeError(f"snapshot index {t!r} outside 0..{self.delta - 1}")
-        return StaticGraph(self.nodes, self.snapshots[t])
+        return StaticGraph._trusted(self.nodes, self.snapshots[t])
 
     @cached_property
     def _ticks(self) -> IntervalGraph:

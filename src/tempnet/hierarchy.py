@@ -218,7 +218,7 @@ def tinterval() -> WindowAlgebra:
     """Largest r such that every r-window's standing edges span a connected graph."""
     return WindowAlgebra(
         lift=lambda i, gs: gs,
-        compose=lambda a, b: StaticGraph(a.nodes, a.edges & b.edges),
+        compose=lambda a, b: StaticGraph._trusted(a.nodes, a.edges & b.edges),
         test=lambda gs: gs.is_connected(),
         direction="shrink",
     )

@@ -88,7 +88,7 @@ def run(
             "algorithm": algorithm,
             "success": k == n - 1,
             "k": k,
-            "labels": labels,
+            "labels": dict(sorted(labels.items())),
         }
 
     if algorithm == "count-uniform":

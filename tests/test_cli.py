@@ -1,7 +1,12 @@
 """Command line behaviour: verbs, formats, exit codes, golden outputs."""
 
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +14,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import long_line
+import tempnet
+import tempnet.cli as cli
 from tempnet.cli import main
 from tempnet.core import IntervalGraph, to_intervals
 from tempnet.io import dump_graph, dump_linkstream
@@ -42,8 +49,6 @@ def test_stats(capsys, trace_file, journey_fig):
 
 
 def test_stats_reads_stdin_linkstream(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("u,v,start,end\na,b,0,2\n"))
     data = run_json(capsys, "stats", "-", "--latency", "1/10")
     assert data["n"] == 2 and data["lifetime"] == [0, 2]
@@ -466,3 +471,73 @@ def test_out_writes_file(capsys, trace_file, journey_fig, tmp_path):
     assert main(["--out", str(target), "stats", trace_file(journey_fig)]) == 0
     capsys.readouterr()
     assert json.loads(target.read_text())["n"] == 5
+
+
+def test_main_calls_in_one_process_match_calls_run_alone(capsys, monkeypatch, trace_file,
+                                                         weekly_line, tmp_path):
+    src = trace_file(weekly_line)
+    stdin = json.dumps(dump_graph(weekly_line))
+    target = tmp_path / "result.json"
+    relabel = ["sim", "relabel", src, "--algorithm", "count-circulate"]
+    calls = [
+        ["stats", src, "--bogus"],
+        ["--out", str(target), "stats", src],
+        ["stats", src],
+        relabel + ["--seed", "3"],
+        relabel,
+        ["stats", "-"],
+        ["param", "--name"],
+    ]
+
+    def in_process(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # usage lines wrap at the terminal width, which a captured child cannot see
+    monkeypatch.setenv("COLUMNS", "80")
+    env = os.environ | {"PYTHONPATH": str(Path(tempnet.__file__).parents[1])}
+
+    def alone(argv):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from tempnet.cli import main; sys.exit(main())",
+             *argv], input=stdin, capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    def written(run, argv):
+        target.unlink(missing_ok=True)
+        return run(argv) + (target.read_text() if target.exists() else None,)
+
+    in_sequence = [written(in_process, argv) for argv in calls]
+    assert in_sequence == [written(alone, argv) for argv in calls]
+    usage, to_file, to_stdout, seeded, default_seed, from_stdin, sub_usage = in_sequence
+    assert usage[0] == 1 and usage[2].endswith("error: unrecognized arguments: --bogus\n")
+    assert sub_usage[0] == 1 and sub_usage[2].startswith("usage: tempnet param")
+    assert to_file[:3] == (0, "", "") and to_stdout == (0, to_file[3], "", None)
+    assert seeded[1] != default_seed[1]
+    assert from_stdin == to_stdout
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, trace_file, journey_fig):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    per_build = len(made)
+    cli.build_parser.cache_clear()
+    made.clear()
+    src = trace_file(journey_fig)
+    for argv in (["stats", src], ["classify", src], ["sim", "forest", src]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert per_build > 1 and len(made) == per_build

@@ -57,6 +57,26 @@ def test_static_graph_rejects_malformed_edges():
         StaticGraph(frozenset("ab"), frozenset({("b", "a")}))
     with pytest.raises(InputError):
         StaticGraph(frozenset("ab"), frozenset({("a", "c")}))
+    with pytest.raises(InputError):
+        StaticGraph(frozenset("ab"), frozenset({("a", "a")}))
+    with pytest.raises(InputError):
+        StaticGraph.build("ab", [("a", "c")])
+
+
+def test_snapshot_graphs_skip_the_check_their_sequence_made(monkeypatch):
+    import tempnet.core as core
+    from tempnet.hierarchy import tinterval
+
+    seq = seq_of("abc", ["ab", "bc"], ["ab"])
+    path, single = graph_of("abc", ["ab", "bc"]), graph_of("abc", ["ab"])
+    checked = []
+    monkeypatch.setattr(core, "_check_edges", lambda edges, nodes: checked.append(edges))
+    first, second = seq.graph_at(0), seq.graph_at(1)
+    both = tinterval().compose(first, second)
+    assert checked == []
+    assert first == path and both == single and both.adjacency["a"] == frozenset("b")
+    StaticGraph(frozenset("ab"), frozenset({("a", "b")}))
+    assert len(checked) == 1  # the public constructor still checks
 
 
 def test_static_graph_components_and_completeness():

@@ -106,6 +106,14 @@ def test_count_sentinel_counts_first_meetings():
     assert not result["success"] and result["k"] == 1
 
 
+def test_count_sentinel_labels_come_in_sorted_order():
+    # a node set whose frozenset order is rarely sorted, whatever the hash seed
+    names = [f"v{i}" for i in range(12)]
+    seq = seq_of(names, [("v0", v) for v in names[1:]])
+    result = run(seq, "count-sentinel", sentinel="v0", rng=random.Random(0))
+    assert list(result["labels"]) == sorted(names[1:])
+
+
 def test_count_sentinel_conditions():
     star = seq_of("abc", ["ab"], ["ac"])
     assert check_conditions(star, "count-sentinel", sentinel="a") == {
