@@ -14,7 +14,8 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
   the interval ``sliding_metric``;
 * ``steady_progress_alpha`` for both kinds, with and without ``pair`` and
   ``window``;
-* the ``relabel.run`` counting protocols;
+* ``relabel.run`` for every protocol, three runs sharing one rng, and
+  ``simforest.run`` with ``checks=True``;
 * every ``tempnet`` verb through ``tempnet.cli.main``, all in the worker's one
   process: random options on the case's trace (a JSON file, a link-stream
   CSV or stdin), now and then with ``--out FILE``, plus one usage error or
@@ -88,7 +89,7 @@ def random_interval_graph(rng: random.Random):
 def calls_for(rng: random.Random, g, discrete: bool):
     """(function name, call) pairs for one graph, arguments drawn up front."""
     from tempnet import journeys as J
-    from tempnet import relabel, windows
+    from tempnet import relabel, simforest, windows
 
     nodes = sorted(g.nodes)
     hi = g.delta if discrete else int(g.span[1])
@@ -122,16 +123,29 @@ def calls_for(rng: random.Random, g, discrete: bool):
             out.append(("foremost_tree_intervals",
                         partial(J.foremost_tree_intervals, g, u, window(), kind)))
     if discrete:
-        for algo in ("count-sentinel", "count-uniform", "count-circulate"):
-            seeded = random.Random(rng.randrange(2**32))
-            out.append(("relabel.run",
-                        partial(relabel.run, g, algo, rng=seeded, sentinel=rng.choice(nodes))))
+        for algo in relabel.ALGORITHMS:
+            out.append(("relabel.run", partial(relabel_runs, g, algo, rng.randrange(2**32),
+                                               emitter=rng.choice(nodes),
+                                               sentinel=rng.choice(nodes))))
+        out.append(("simforest.run",
+                    partial(simforest.run, g, rng=random.Random(rng.randrange(2**32)),
+                            merge_rule=rng.choice(("min", "random")), checks=True)))
     else:
         metric = rng.choice(("tc", "tdiam", f"ecc:{rng.choice(nodes)}"))
         width = Fraction(rng.randint(1, 2 * hi), 2)
         step = Fraction(1, rng.choice(DENOMINATORS))
         out.append(("sliding_metric", partial(windows.sliding_metric, g, metric, width, step)))
     return out
+
+
+def relabel_runs(g, algorithm: str, seed: int, **members):
+    """Three runs sharing one rng, as ``sim relabel --runs`` makes them, and
+    the rng's next draw, which shows whether the runs consumed it alike."""
+    from tempnet import relabel
+
+    rng = random.Random(seed)
+    runs = [relabel.run(g, algorithm, rng=rng, **members) for _ in range(3)]
+    return runs, rng.random()
 
 
 def cli_calls_for(rng: random.Random, g, discrete: bool):

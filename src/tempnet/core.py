@@ -250,16 +250,32 @@ class SnapshotSequence:
     def __post_init__(self):
         if len(self.snapshots) < 1:
             raise InputError("a snapshot sequence needs at least one snapshot")
-        for g in self.snapshots:
-            _check_edges(g, self.nodes)
+        try:
+            _check_edges(set().union(*self.snapshots), self.nodes)  # once per distinct edge
+        except InputError:  # name the first bad edge as the snapshot-by-snapshot check finds it
+            for g in self.snapshots:
+                _check_edges(g, self.nodes)
+            raise
 
     @staticmethod
-    def build(nodes: Iterable[str], snapshots: Sequence[Iterable[tuple[str, str]]]) -> "SnapshotSequence":
+    def build(nodes: Iterable[str], snapshots: Iterable[Iterable[tuple[str, str]]]) -> "SnapshotSequence":
         node_set = frozenset(nodes)
-        canon: dict[Edge, Edge] = {}  # one tuple per distinct edge, shared by every snapshot
-        snaps = tuple(frozenset(canon.setdefault(e, e) for e in (edge(u, v) for u, v in g))
-                      for g in snapshots)
-        return SnapshotSequence(node_set, snaps)
+        canon: dict[tuple, Edge] = {}  # pair as given -> its edge's one shared tuple
+        snaps = []
+        for g in snapshots:
+            row = []
+            for u, v in g:
+                try:
+                    e = canon.get((u, v))
+                except TypeError:  # an unhashable endpoint: edge() names what it can
+                    edge(u, v)
+                    raise InputError(f"node ids must be strings, got {u!r} and {v!r}") from None
+                if e is None:  # edge() runs once per distinct pair
+                    e = edge(u, v)
+                    e = canon[u, v] = canon.setdefault(e, e)
+                row.append(e)
+            snaps.append(frozenset(row))
+        return SnapshotSequence(node_set, tuple(snaps))
 
     @property
     def delta(self) -> int:
@@ -269,6 +285,11 @@ class SnapshotSequence:
         if not isinstance(t, int) or not 0 <= t < self.delta:
             raise RangeError(f"snapshot index {t!r} outside 0..{self.delta - 1}")
         return StaticGraph._trusted(self.nodes, self.snapshots[t])
+
+    @cached_property
+    def _sorted_snapshots(self) -> tuple[tuple[Edge, ...], ...]:
+        """Each snapshot's edges in sorted order, the order schedules are drawn from."""
+        return tuple(tuple(sorted(g)) for g in self.snapshots)
 
     @cached_property
     def _ticks(self) -> IntervalGraph:

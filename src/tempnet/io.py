@@ -39,7 +39,8 @@ def format_time(t) -> Any:
 
 def load_graph(data) -> TemporalGraph:
     """Parse a trace from a JSON string or an already-decoded dict."""
-    if isinstance(data, (str, bytes)):
+    decoded = isinstance(data, (str, bytes))
+    if decoded:
         try:
             data = json.loads(data)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -48,7 +49,7 @@ def load_graph(data) -> TemporalGraph:
         raise InputError("trace JSON must be an object")
     fmt = data.get("format")
     if fmt == "snapshots":
-        return _load_snapshots(data)
+        return _load_snapshots(data, decoded)
     if fmt == "intervals":
         return _load_intervals(data)
     raise InputError(f"unknown trace format {fmt!r}")
@@ -61,16 +62,24 @@ def _require_string_ids(nodes):
             raise InputError(f"node ids must be strings, got {v!r}")
 
 
-def _load_snapshots(data) -> SnapshotSequence:
+def _load_snapshots(data, owned: bool) -> SnapshotSequence:
     try:
         nodes = list(data["nodes"])
-        for snap in data["snapshots"]:
+        rows = data["snapshots"]
+        for snap in rows:
             for u, v in snap:  # the shape check; build canonicalizes the pairs
                 pass
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed snapshot trace: {exc}") from exc
     _require_string_ids(nodes)
-    return SnapshotSequence.build(nodes, data["snapshots"])
+    return SnapshotSequence.build(nodes, _taken(rows) if owned and isinstance(rows, list) else rows)
+
+
+def _taken(rows: list):
+    """Yield each row of a decoded list and drop the list's hold on it, freeing it once built."""
+    for i, row in enumerate(rows):
+        rows[i] = None
+        yield row
 
 
 def _load_intervals(data) -> IntervalGraph:

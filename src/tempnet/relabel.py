@@ -46,7 +46,8 @@ def run(
     """Run one protocol over one (possibly random) fair schedule.
 
     Success means: broadcast informed everyone; a counter reached n-1
-    (sentinel) or n (uniform and circulate).
+    (sentinel) or n (uniform and circulate).  All but count-circulate stop
+    reading the schedule once that happens, since nothing can change after.
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -66,6 +67,8 @@ def run(
             for u, v in schedule[t]:
                 if u in informed or v in informed:
                     informed |= {u, v}
+            if len(informed) == n:  # nothing left to inform
+                break
         return {
             "algorithm": algorithm,
             "success": informed == set(seq.nodes),
@@ -84,6 +87,8 @@ def run(
                     if labels.get(other) == "N":
                         labels[other] = "F"
                         k += 1
+            if k == n - 1:  # the sentinel has met everyone
+                break
         return {
             "algorithm": algorithm,
             "success": k == n - 1,
@@ -102,6 +107,8 @@ def run(
                     counts[giver] = 0
                     if counts[u] + counts[v] != pair:  # a merge moves weight between u and v only
                         raise ContractError("count-uniform lost conservation")
+            if n in counts.values():  # one count holds all the weight: no merge is left
+                break
         return {
             "algorithm": algorithm,
             "success": max(counts.values()) == n,
@@ -172,8 +179,7 @@ def broadcast_outcomes(seq: SnapshotSequence, emitter: str) -> set[frozenset[str
     """
     emitter = _check_member(seq, emitter, "emitter")
     states = {frozenset([emitter])}
-    for snap in seq.snapshots:
-        snap_edges = tuple(sorted(snap))
+    for snap_edges in seq._sorted_snapshots:
         nxt: set[frozenset[str]] = set()
         for informed in states:
             nxt |= _snapshot_outcomes(informed, snap_edges)

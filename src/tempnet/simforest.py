@@ -59,16 +59,16 @@ def check_invariants(state: ForestState):
     for child, par in parent.items():
         if par is not None and ((child, par) if child < par else (par, child)) not in snap:
             raise ContractError(f"tree edge {child!r}->{par!r} not in the snapshot")
-    # cycle check: walk each parent chain until it meets a node known to reach a root
-    rooted: set[str] = set()
-    for v in parent:
-        path, x = set(), v
-        while x is not None and x not in rooted:
-            if x in path:
-                raise ContractError(f"cycle in parent pointers through {x!r}")
-            path.add(x)
+    # cycle check: walk each parent chain, marking it with the walk's id, until it
+    # meets a root or a marked node; meeting its own mark closes a cycle
+    walk_of: dict[str, int] = {}
+    for i, v in enumerate(parent):
+        x = v
+        while x is not None and x not in walk_of:
+            walk_of[x] = i
             x = parent[x]
-        rooted |= path
+        if x is not None and walk_of[x] == i:
+            raise ContractError(f"cycle in parent pointers through {x!r}")
 
 
 def select_edge(
@@ -130,8 +130,7 @@ def fair_schedule(
     """One selection order per snapshot covering each present edge at least
     once, with up to ``extra`` additional random repeats mixed in."""
     schedule = []
-    for snap in seq.snapshots:
-        edges = sorted(snap)
+    for edges in seq._sorted_snapshots:
         order = list(edges)
         rng.shuffle(order)
         if edges and extra:

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from tempnet.core import SnapshotSequence, StaticGraph, edge
+from tempnet.errors import ContractError
 
 
 # ---------------------------------------------------------------------------
@@ -543,3 +544,51 @@ def circulate_counts(seq, schedule):
                 counts[dst] += counts[src]
                 counts[src] = 0
     return dict(sorted(counts.items()))
+
+
+def relabel_replay(seq, algorithm, schedule, emitter=None, sentinel=None):
+    """broadcast, count-sentinel or count-uniform over the whole schedule, no
+    early exit, in the shape (and key order) of ``relabel.run``'s result."""
+    nodes = sorted(seq.nodes)
+    if algorithm == "broadcast":
+        informed = broadcast_under(seq, schedule, emitter)
+        return {"algorithm": algorithm, "success": informed == seq.nodes,
+                "informed": sorted(informed), "labels": {v: v in informed for v in nodes}}
+    if algorithm == "count-sentinel":
+        met = {v for round_edges in schedule for e in round_edges if sentinel in e for v in e}
+        labels = {v: "F" if v in met else "N" for v in nodes if v != sentinel}
+        k = sum(label == "F" for label in labels.values())
+        return {"algorithm": algorithm, "success": k == len(nodes) - 1, "k": k, "labels": labels}
+    assert algorithm == "count-uniform"
+    counts = {v: 1 for v in nodes}
+    for round_edges in schedule:
+        for u, v in round_edges:
+            if counts[u] and counts[v]:
+                lo, hi = sorted((u, v))
+                counts[lo], counts[hi] = counts[lo] + counts[hi], 0
+    return {"algorithm": algorithm, "success": max(counts.values()) == len(nodes),
+            "counts": counts}
+
+
+# ---------------------------------------------------------------------------
+# spanning-forest invariants
+
+def forest_invariants_per_node_walk(state):
+    """The forest invariant check as first written, with a fresh path set for
+    each node's walk; raises ContractError with the same messages."""
+    parent = state.parent
+    if state.tokens != {v for v, p in parent.items() if p is None}:
+        raise ContractError("token holders differ from the forest roots")
+    snap = state.sequence.snapshots[state.t]
+    for child, par in parent.items():
+        if par is not None and ((child, par) if child < par else (par, child)) not in snap:
+            raise ContractError(f"tree edge {child!r}->{par!r} not in the snapshot")
+    rooted = set()
+    for v in parent:
+        path, x = set(), v
+        while x is not None and x not in rooted:
+            if x in path:
+                raise ContractError(f"cycle in parent pointers through {x!r}")
+            path.add(x)
+            x = parent[x]
+        rooted |= path

@@ -406,6 +406,13 @@ def test_non_string_node_ids_exit_1(capsys, tmp_path):
     assert err.startswith("tempnet: error:") and "Traceback" not in err
 
 
+def test_array_endpoints_exit_1(capsys, tmp_path):
+    path = tmp_path / "arrays.json"
+    path.write_text('{"format":"snapshots","nodes":["x","y"],"snapshots":[[[["x"],["y"]]]]}')
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err == "tempnet: error: node ids must be strings, got ['x'] and ['y']\n"
+
+
 @pytest.mark.parametrize("lifetime", [0, True, [], [0], {"a": 1}, [0, 1, 2]])
 def test_malformed_lifetime_exits_1(capsys, tmp_path, lifetime):
     path = tmp_path / "trace.json"

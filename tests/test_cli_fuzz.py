@@ -27,7 +27,11 @@ TIMES = st.one_of(
     st.integers(-2, 8), TIME_TEXT,
     st.sampled_from([0.5, 2.25, -1.5, float("nan"), float("inf"), None, True, [], {}]),
 )
-PAIRS = st.one_of(st.lists(IDS, min_size=2, max_size=2), st.lists(IDS, max_size=3), IDS)
+PAIRS = st.one_of(
+    st.lists(IDS, min_size=2, max_size=2), st.lists(IDS, max_size=3), IDS,
+    # two arrays as endpoints: they compare, so only hashing them fails
+    st.lists(st.lists(NAMES, min_size=1, max_size=2), min_size=2, max_size=2),
+)
 SNAPSHOT_JSON = st.fixed_dictionaries({
     "format": st.just("snapshots"),
     "nodes": st.lists(IDS, max_size=5),

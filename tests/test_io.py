@@ -1,9 +1,12 @@
 """Serialization round-trips and golden text formats."""
 
+import copy
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seq_of
 from strategies import interval_graphs, sequences
@@ -39,8 +42,6 @@ def test_snapshot_json_roundtrip(seq):
 
 @given(interval_graphs())
 def test_interval_json_roundtrip(ig):
-    import json
-
     payload = dump_graph(ig)
     assert load_graph(json.dumps(payload)) == ig
 
@@ -96,12 +97,61 @@ def test_load_graph_rejects_malformed(payload):
         (["a", "b"], ["a", "c"], "edge ('a', 'c') has endpoint outside the node set"),
         # malformed in shape and in ids: the shape is reported first
         (["a", 2], ["a"], "malformed snapshot trace: not enough values to unpack (expected 2, got 1)"),
+        # endpoints that are JSON arrays compare, but cannot be ids
+        (["a", "b"], [["x"], ["y"]], "node ids must be strings, got ['x'] and ['y']"),
+        (["a", "b"], [["x"], ["x"]], "self-loop at ['x'] rejected"),
+        (["a", "b"], [[], "a"], "node ids must be non-empty strings"),
     ],
 )
 def test_snapshot_load_error_messages(nodes, edge, message):
     with pytest.raises(InputError) as exc:
         load_graph({"format": "snapshots", "nodes": nodes, "snapshots": [[edge]]})
     assert str(exc.value) == message
+
+
+NAMES = st.sampled_from(["a", "b", "c"])
+IDS = st.one_of(NAMES, NAMES, st.sampled_from(["", None, 1]), st.lists(NAMES, max_size=2))
+PAIRS = st.one_of(
+    st.lists(IDS, min_size=2, max_size=2), st.lists(IDS, min_size=2, max_size=2),
+    st.lists(IDS, max_size=3), st.lists(st.lists(NAMES, min_size=1, max_size=2), min_size=2, max_size=2),
+)
+SNAPSHOT_TRACES = st.fixed_dictionaries({
+    "format": st.just("snapshots"),
+    "nodes": st.one_of(st.lists(NAMES, max_size=4), st.lists(IDS, max_size=4)),
+    "snapshots": st.one_of(
+        st.lists(st.lists(PAIRS, max_size=4), max_size=4),
+        st.sampled_from(["", {"": 0}]),  # shapes that iterate like an empty snapshot list or row
+    ),
+})
+
+
+def _loaded(data):
+    try:
+        return load_graph(data)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(SNAPSHOT_TRACES)
+def test_loading_text_equals_loading_its_decoded_dict(trace):
+    before = copy.deepcopy(trace)
+    assert _loaded(json.dumps(trace)) == _loaded(trace)
+    assert trace == before  # a caller's dict is left as it was
+
+
+@given(sequences(), st.randoms())
+def test_each_edge_is_one_tuple_shared_by_every_snapshot(seq, rnd):
+    payload = dump_graph(seq)
+    for row in payload["snapshots"]:
+        for pair in row:
+            rnd.shuffle(pair)  # the same edge given in either order
+    loaded = load_graph(json.dumps(payload))
+    assert loaded == seq
+    first: dict = {}
+    for snap in loaded.snapshots:
+        for e in snap:
+            assert first.setdefault(e, e) is e
 
 
 def test_lifetime_key_restores_span():

@@ -96,6 +96,29 @@ def test_broadcast_conditions_are_meaningful(seq):
             )
 
 
+SETTLING = st.sampled_from(["broadcast", "count-sentinel", "count-uniform"])
+
+
+@given(sequences(max_n=5, max_delta=6), st.integers(0, 2**32 - 1), SETTLING)
+def test_early_stop_matches_a_full_replay(seq, seed, algorithm):
+    schedule = fair_schedule(seq, random.Random(seed), extra=2)
+    node = sorted(seq.nodes)[seed % len(seq.nodes)]
+    got = run(seq, algorithm, schedule=schedule, emitter=node, sentinel=node)
+    want = oracles.relabel_replay(seq, algorithm, schedule, emitter=node, sentinel=node)
+    assert repr(got) == repr(want)  # values and key order
+
+
+@given(sequences(max_n=5, max_delta=6), st.integers(0, 2**32 - 1), st.sampled_from(ALGORITHMS),
+       st.integers(1, 4))
+def test_runs_sharing_an_rng_each_draw_one_whole_schedule(seq, seed, algorithm, k):
+    node = sorted(seq.nodes)[seed % len(seq.nodes)]
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(k):
+        run(seq, algorithm, rng=rng, emitter=node, sentinel=node)
+        fair_schedule(seq, ref, extra=2)
+    assert rng.getstate() == ref.getstate()
+
+
 def test_count_sentinel_counts_first_meetings():
     seq = seq_of("abc", ["ab"], ["ab", "ac"])
     result = run(seq, "count-sentinel", sentinel="a", rng=random.Random(0))

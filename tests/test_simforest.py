@@ -7,8 +7,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import graph_of, seq_of
-from strategies import sequences
+import oracles
+from strategies import node_names, sequences
 from tempnet import simforest
+from tempnet.core import SnapshotSequence, edge
 from tempnet.errors import ContractError, InputError, RangeError
 
 
@@ -189,3 +191,29 @@ def _corrupt(parent, tokens, snapshot):
 def test_check_invariants_names_each_corruption(state, message):
     with pytest.raises(ContractError, match=f"^{message}$"):
         simforest.check_invariants(state)
+
+
+@st.composite
+def forest_states(draw):
+    """Any parent map without self-loops, in any order: tokens are the roots
+    and every tree edge is present, so only the cycle check can fail."""
+    nodes = draw(st.permutations(node_names(draw(st.integers(1, 7)))))
+    parent = {v: draw(st.sampled_from([None, *(w for w in nodes if w != v)])) for v in nodes}
+    snap = frozenset(edge(c, p) for c, p in parent.items() if p is not None)
+    state = simforest.init(SnapshotSequence(frozenset(nodes), (snap,)))
+    state.parent, state.tokens = parent, {v for v, p in parent.items() if p is None}
+    return state
+
+
+def _complaint(check, state):
+    try:
+        check(state)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+@given(forest_states())
+def test_cycle_walk_matches_the_per_node_walk(state):
+    want = _complaint(oracles.forest_invariants_per_node_walk, state)
+    assert _complaint(simforest.check_invariants, state) == want
