@@ -16,6 +16,12 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
   ``window``;
 * ``relabel.run`` for every protocol, three runs sharing one rng, and
   ``simforest.run`` with ``checks=True``;
+* on sequences, the window algebra for both kinds: ``hierarchy.extremal``
+  and ``hierarchy.decide`` (value and ``ops``) and ``IncrementalDecide``
+  (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
+  ``tdiameter`` and ``rt_tdiameter``; ``relabel.check_conditions`` for every
+  protocol;
+* ``finite_class_membership`` for every class and kind (12 calls);
 * every ``tempnet`` verb through ``tempnet.cli.main``, all in the worker's one
   process: random options on the case's trace (a JSON file, a link-stream
   CSV or stdin), now and then with ``--out FILE``, plus one usage error or
@@ -48,6 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("strict", "nonstrict")
+CLASS_NAMES = ("J1A", "JA1", "TC", "TCrt", "E1A", "K")
 LATENCIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 DENOMINATORS = (1, 2, 3, 4, 6)
 
@@ -88,8 +95,10 @@ def random_interval_graph(rng: random.Random):
 
 def calls_for(rng: random.Random, g, discrete: bool):
     """(function name, call) pairs for one graph, arguments drawn up front."""
+    from tempnet import classes, relabel, simforest, windows
+    from tempnet import hierarchy as H
     from tempnet import journeys as J
-    from tempnet import relabel, simforest, windows
+    from tempnet.core import footprint
 
     nodes = sorted(g.nodes)
     hi = g.delta if discrete else int(g.span[1])
@@ -104,7 +113,8 @@ def calls_for(rng: random.Random, g, discrete: bool):
         a, b = sorted((when(), when()))
         return (a, b + 1) if discrete else (a, b + Fraction(1, rng.choice(DENOMINATORS)))
 
-    out = []
+    out = [("finite_class_membership", partial(classes.finite_class_membership, g, name, kind))
+           for name in CLASS_NAMES for kind in KINDS]
     for kind in KINDS:
         u, v = rng.choice(nodes), rng.choice(nodes)
         out += [
@@ -130,12 +140,36 @@ def calls_for(rng: random.Random, g, discrete: bool):
         out.append(("simforest.run",
                     partial(simforest.run, g, rng=random.Random(rng.randrange(2**32)),
                             merge_rule=rng.choice(("min", "random")), checks=True)))
+        for algo in relabel.ALGORITHMS:
+            out.append(("relabel.check_conditions",
+                        partial(relabel.check_conditions, g, algo, emitter=rng.choice(nodes),
+                                sentinel=rng.choice(nodes))))
+        for kind in KINDS:
+            for algebra in (H.tinterval(), H.footprint_realization(footprint(g)),
+                            H.tdiameter(kind), H.rt_tdiameter(kind)):
+                out += [
+                    ("hierarchy.extremal", partial(H.extremal, algebra, g)),
+                    # r = 0 and r = delta + 1 now and then, so range errors are compared too
+                    ("hierarchy.decide", partial(H.decide, algebra, g, rng.randint(0, hi + 1))),
+                    ("IncrementalDecide", partial(incremental_verdicts, algebra, g,
+                                                  rng.randint(0, hi + 1))),
+                ]
     else:
         metric = rng.choice(("tc", "tdiam", f"ecc:{rng.choice(nodes)}"))
         width = Fraction(rng.randint(1, 2 * hi), 2)
         step = Fraction(1, rng.choice(DENOMINATORS))
         out.append(("sliding_metric", partial(windows.sliding_metric, g, metric, width, step)))
     return out
+
+
+def incremental_verdicts(algebra, g, r: int):
+    """Every window verdict of an ``IncrementalDecide`` fed the whole sequence, and
+    ``all_pass``.  Its ``ops`` are left out: a stream that ends on a failing window
+    has made one pop fewer since ``decide`` runs on it."""
+    from tempnet.hierarchy import IncrementalDecide
+
+    inc = IncrementalDecide(algebra, r)
+    return [inc.append(g.graph_at(t)) for t in range(g.delta)], inc.all_pass
 
 
 def relabel_runs(g, algorithm: str, seed: int, **members):

@@ -15,7 +15,6 @@ from .core import (
     discretize,
     edge,
     footprint,
-    induced_sequence,
     intersection_graph,
     lifetime,
     snapshot_at,

@@ -16,7 +16,9 @@ temporal diameters, steady-progress alpha) into one report.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 from .core import (
@@ -25,16 +27,11 @@ from .core import (
     _as_sequence,
     _check_kind,
     _check_limit,
+    _reach_masks,
     edge,
     footprint,
 )
-from .closure import (
-    _bron_kerbosch,
-    is_roundtrip_connected,
-    nonstrict_closure,
-    roundtrip_closure,
-    strict_closure,
-)
+from .closure import _bron_kerbosch, is_roundtrip_connected, roundtrip_closure
 from .errors import InputError
 from . import hierarchy
 from .journeys import steady_progress_alpha
@@ -48,7 +45,7 @@ def finite_class_membership(
     """(member, witness); witness is the smallest node id where one exists."""
     if name not in CLASS_NAMES:
         raise InputError(f"unknown class {name!r}, expected one of {CLASS_NAMES}")
-    _check_kind(kind)
+    strict = _check_kind(kind)
     seq = _as_sequence(g)
     nodes = sorted(seq.nodes)
     n = len(nodes)
@@ -56,26 +53,17 @@ def finite_class_membership(
         fp = footprint(seq)
         if name == "K":
             return fp.is_complete(), None
-        for v in nodes:
-            if len(fp.adjacency[v]) == n - 1:
-                return True, v
-        return False, None
+        return next(((True, v) for v in nodes if len(fp.adjacency[v]) == n - 1), (False, None))
     if name == "TCrt":
-        rt = roundtrip_closure(seq, kind=kind)
-        return is_roundtrip_connected(rt), None
-    closure = strict_closure(seq) if kind == "strict" else nonstrict_closure(seq)
+        return is_roundtrip_connected(roundtrip_closure(seq, kind=kind)), None
+    order, reach = _reach_masks(seq, strict)  # reach[k]: the nodes with a journey to k
+    full = (1 << n) - 1
     if name == "TC":
-        return closure.is_complete, None
-    out_deg = {v: 0 for v in nodes}
-    in_deg = {v: 0 for v in nodes}
-    for u, v in closure.arcs:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    deg = out_deg if name == "J1A" else in_deg
-    for v in nodes:
-        if deg[v] == n - 1:
-            return True, v
-    return False, None
+        return all(row == full for row in reach), None
+    if name == "JA1":  # the least node that everyone reaches
+        return next(((True, order[k]) for k, row in enumerate(reach) if row == full), (False, None))
+    common = reduce(operator.and_, reach, full)  # J1A: the nodes that reach everyone
+    return (True, order[(common & -common).bit_length() - 1]) if common else (False, None)
 
 
 def smallest_period(g: TemporalGraph) -> Optional[int]:

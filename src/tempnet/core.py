@@ -211,7 +211,7 @@ class StaticGraph:
 
     @classmethod
     def _trusted(cls, nodes: frozenset[str], edges: frozenset[Edge]) -> "StaticGraph":
-        """A graph whose edges were already checked: a validated snapshot or a subset of one."""
+        """A graph whose edges were already checked: a validated trace's edges or a subset of them."""
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)
         object.__setattr__(g, "edges", edges)
@@ -424,19 +424,14 @@ def supports_hop(g: IntervalGraph, e: Edge, s: Time) -> bool:
 
 def footprint(g: TemporalGraph) -> StaticGraph:
     """Edges present at least once over the lifetime."""
-    if isinstance(g, SnapshotSequence):
-        edges = frozenset().union(*g.snapshots) if g.snapshots else frozenset()
-        return StaticGraph(g.nodes, frozenset(edges))
-    return StaticGraph(g.nodes, frozenset(g.edges))
+    edges = frozenset().union(*g.snapshots) if isinstance(g, SnapshotSequence) else frozenset(g.edges)
+    return StaticGraph._trusted(g.nodes, edges)
 
 
 def intersection_graph(g: TemporalGraph) -> StaticGraph:
     """Edges present in every snapshot / over the whole lifetime."""
     if isinstance(g, SnapshotSequence):
-        edges = g.snapshots[0]
-        for snap in g.snapshots[1:]:
-            edges = edges & snap
-        return StaticGraph(g.nodes, frozenset(edges))
+        return StaticGraph._trusted(g.nodes, g.snapshots[0].intersection(*g.snapshots[1:]))
     lo, hi = lifetime(g)
     stable = frozenset(
         e for e, ivs in g.edges.items()
@@ -567,16 +562,3 @@ def to_snapshots(g: IntervalGraph) -> SnapshotSequence:
             )
     lo, hi = int(lo), int(hi)
     return _on_grid(g, range(lo, max(hi, lo + 1) + 1))
-
-
-def induced_sequence(seq: SnapshotSequence, nodes: Iterable[str]) -> SnapshotSequence:
-    """Temporal subgraph induced by a node subset (discrete)."""
-    keep = frozenset(nodes)
-    unknown = keep - seq.nodes
-    if unknown:
-        raise InputError(f"unknown nodes {sorted(unknown)!r}")
-    snaps = tuple(
-        frozenset(e for e in g if e[0] in keep and e[1] in keep)
-        for g in seq.snapshots
-    )
-    return SnapshotSequence(keep, snaps)

@@ -107,18 +107,9 @@ def decide(algebra: WindowAlgebra, seq: SnapshotSequence, r: int) -> DecideResul
     delta = seq.delta
     if not 1 <= r <= delta:
         raise RangeError(f"window length {r} outside 1..{delta}")
-    sw = _Swag(algebra)
-    value = True
-    e = 0
-    for s in range(delta - r + 1):
-        while e < s + r:
-            sw.push(algebra.lift(e, seq.graph_at(e)))
-            e += 1
-        if not sw.test(sw.aggregate()):
-            value = False
-            break
-        sw.pop()
-    return DecideResult(value, dict(sw.ops))
+    inc = IncrementalDecide(algebra, r)
+    value = all(inc.append(seq.graph_at(e)) is not False for e in range(delta))  # stops at a failure
+    return DecideResult(value, inc.ops)
 
 
 def _walk_grow(sw: _Swag, seq: SnapshotSequence) -> list:
@@ -187,7 +178,9 @@ class IncrementalDecide:
     """Streaming variant: feed snapshots one by one, get per-window verdicts.
 
     append returns the verdict of the window ending at the new snapshot
-    (None until r snapshots have arrived); all_pass aggregates them.
+    (None until r snapshots have arrived); all_pass aggregates them.  A failing
+    window keeps its oldest snapshot until the next append, so ``decide`` stops
+    there without a pop.
     """
 
     def __init__(self, algebra: WindowAlgebra, r: int):
@@ -197,6 +190,7 @@ class IncrementalDecide:
         self.r = r
         self._sw = _Swag(algebra)
         self._count = 0
+        self._held = False  # the last window failed and still holds its oldest snapshot
         self.all_pass = True
 
     @property
@@ -204,13 +198,17 @@ class IncrementalDecide:
         return dict(self._sw.ops)
 
     def append(self, snapshot: StaticGraph) -> Optional[bool]:
+        if self._held:
+            self._sw.pop()
         self._sw.push(self.algebra.lift(self._count, snapshot))
         self._count += 1
         if self._count < self.r:
             return None
         verdict = self._sw.test(self._sw.aggregate())
         self.all_pass = self.all_pass and verdict
-        self._sw.pop()
+        self._held = not verdict
+        if verdict:
+            self._sw.pop()
         return verdict
 
 

@@ -62,6 +62,18 @@ def _require_string_ids(nodes):
             raise InputError(f"node ids must be strings, got {v!r}")
 
 
+_ARRAYS = frozenset((list, tuple))  # a JSON array, or a tuple from a Python caller
+
+
+def _check_array(x, what: str, items: str = ""):
+    """x is an array, and so is each of its items when ``items`` names them.  It runs after the
+    reads it guards (a two-character string unpacks too), so an earlier fault is named first."""
+    if type(x) not in _ARRAYS:
+        raise TypeError(f"{what} must be an array, got {type(x).__name__}")
+    if items and not _ARRAYS.issuperset(map(type, x)):
+        _check_array(next(y for y in x if type(y) not in _ARRAYS), items)
+
+
 def _load_snapshots(data, owned: bool) -> SnapshotSequence:
     try:
         nodes = list(data["nodes"])
@@ -69,10 +81,13 @@ def _load_snapshots(data, owned: bool) -> SnapshotSequence:
         for snap in rows:
             for u, v in snap:  # the shape check; build canonicalizes the pairs
                 pass
+            _check_array(snap, "a snapshot", "an edge")
+        _check_array(rows, "snapshots")
+        _check_array(data["nodes"], "nodes")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed snapshot trace: {exc}") from exc
     _require_string_ids(nodes)
-    return SnapshotSequence.build(nodes, _taken(rows) if owned and isinstance(rows, list) else rows)
+    return SnapshotSequence.build(nodes, _taken(rows) if owned else rows)
 
 
 def _taken(rows: list):
@@ -88,6 +103,9 @@ def _load_intervals(data) -> IntervalGraph:
         edges = {}
         for rec in data["edges"]:
             edges[(rec["u"], rec["v"])] = [(a, b) for a, b in rec["intervals"]]
+            _check_array(rec["intervals"], "intervals", "an interval")
+        _check_array(data["edges"], "edges")
+        _check_array(data["nodes"], "nodes")
         latency = data.get("latency", 1)
         span = data.get("lifetime")
     except (KeyError, TypeError, ValueError) as exc:

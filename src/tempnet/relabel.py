@@ -19,8 +19,8 @@ import random
 from typing import Optional
 
 from .classes import finite_class_membership
-from .closure import nonstrict_closure, strict_closure
-from .core import SnapshotSequence, footprint
+from .closure import _require_sequence
+from .core import SnapshotSequence, _node_index, _reach_masks, footprint
 from .errors import ContractError, InputError
 from .simforest import _validate_schedule, fair_schedule, init, select_edge, advance_snapshot
 
@@ -151,17 +151,15 @@ def check_conditions(
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    n = len(seq.nodes)
     if algorithm == "broadcast":
-        emitter = _check_member(seq, emitter, "emitter")
-        nons = nonstrict_closure(seq)
-        stri = strict_closure(seq)
-        out_non = sum(1 for (u, _) in nons.arcs if u == emitter)
-        out_str = sum(1 for (u, _) in stri.arcs if u == emitter)
-        return {"necessary": out_non == n - 1, "sufficient": out_str == n - 1}
+        bit = 1 << _node_index(seq.nodes)[1][_check_member(seq, emitter, "emitter")]
+        seq = _require_sequence(seq)
+        # the emitter's bit in every reach row: it reaches everyone, non-strict / strict
+        necessary, sufficient = (all(row & bit for row in _reach_masks(seq, s)[1]) for s in (False, True))
+        return {"necessary": necessary, "sufficient": sufficient}
     if algorithm == "count-sentinel":
         sentinel = _check_member(seq, sentinel, "sentinel")
-        spanning_star = len(footprint(seq).adjacency[sentinel]) == n - 1
+        spanning_star = len(footprint(seq).adjacency[sentinel]) == len(seq.nodes) - 1
         return {"necessary": spanning_star, "sufficient": spanning_star}
     if algorithm == "count-uniform":
         return {

@@ -35,9 +35,6 @@ class ForestState:
     def roots(self) -> set[str]:
         return {v for v, p in self.parent.items() if p is None}
 
-    def tree_edges(self) -> set[Edge]:
-        return {edge(c, p) for c, p in self.parent.items() if p is not None}
-
     def trees(self) -> int:
         return len(self.tokens)
 
@@ -53,7 +50,7 @@ def init(seq: SnapshotSequence) -> ForestState:
 
 def check_invariants(state: ForestState):
     parent = state.parent
-    if state.tokens != {v for v, p in parent.items() if p is None}:
+    if state.tokens != state.roots():
         raise ContractError("token holders differ from the forest roots")
     snap = state.current
     for child, par in parent.items():

@@ -9,7 +9,8 @@ interval graph's times; exhaustive enumeration of node-distinct journeys
 backs the journey and steady-progress oracles and cross-checks the fixpoint
 on tiny traces.  Library results are compared against these on desk-scale
 instances; nothing in this module shares code with the package
-(`SnapshotSequence` serves only as a container).
+(`SnapshotSequence` serves only as a container), except `loop_decide`, which
+drives the package's counting queue so that its operation counts compare.
 """
 
 from __future__ import annotations
@@ -316,6 +317,26 @@ def window_passes(seq, prop, s, r, kind="strict", target=None):
     if prop == "rtdiam":
         return brute_rt_connected(sub, 0, r, kind)
     raise ValueError(prop)
+
+
+def loop_decide(algebra, seq, r):
+    """(value, ops) of a fixed-r decision by its own push / test / pop loop.
+
+    This is how ``hierarchy.decide`` ran before it fed an ``IncrementalDecide``:
+    it stops at the first failing window, before that window's pop.
+    """
+    from tempnet.hierarchy import _Swag
+
+    sw = _Swag(algebra)
+    e = 0
+    for s in range(seq.delta - r + 1):
+        while e < s + r:
+            sw.push(algebra.lift(e, seq.graph_at(e)))
+            e += 1
+        if not sw.test(sw.aggregate()):
+            return False, sw.ops
+        sw.pop()
+    return True, sw.ops
 
 
 def brute_decide(seq, prop, r, kind="strict", target=None):

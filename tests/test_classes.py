@@ -19,7 +19,7 @@ from tempnet.classes import (
     smallest_period,
     verify_covering,
 )
-from tempnet.core import StaticGraph
+from tempnet.core import SnapshotSequence, StaticGraph
 from tempnet.errors import ContractError, InputError
 
 
@@ -52,6 +52,30 @@ def test_class_implications(seq, kind):
         assert member["TC"]
     if member["TC"]:
         assert member["J1A"] and member["JA1"]
+
+
+@given(sequences(max_n=5, max_delta=5), KINDS)
+def test_reach_classes_read_the_brute_closure(seq, kind):
+    arcs = oracles.brute_closure_arcs(seq, kind)
+    nodes = sorted(seq.nodes)
+
+    def least(members):
+        return (True, members[0]) if members else (False, None)
+
+    reach_all = [u for u in nodes if all((u, v) in arcs for v in nodes if v != u)]
+    reached_by_all = [v for v in nodes if all((u, v) in arcs for u in nodes if u != v)]
+    assert finite_class_membership(seq, "J1A", kind) == least(reach_all)
+    assert finite_class_membership(seq, "JA1", kind) == least(reached_by_all)
+    assert finite_class_membership(seq, "TC", kind) == (len(arcs) == len(nodes) * (len(nodes) - 1), None)
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_reach_classes_on_one_node_and_no_nodes(kind):
+    one, empty = SnapshotSequence(frozenset("a"), (frozenset(),)), SnapshotSequence(frozenset(), (frozenset(),))
+    assert [finite_class_membership(one, name, kind) for name in ("J1A", "JA1", "TC")] == [
+        (True, "a"), (True, "a"), (True, None)]
+    assert [finite_class_membership(empty, name, kind) for name in ("J1A", "JA1", "TC")] == [
+        (False, None), (False, None), (True, None)]
 
 
 @given(sequences(max_n=4, max_delta=4))

@@ -67,6 +67,21 @@ def good_snapshots(draw):
 
 
 @st.composite
+def odd_snapshots(draw):
+    """A good_snapshots() trace with one odd pair spliced in: array endpoints, a string, three items."""
+    trace = draw(good_snapshots())
+    ids = st.sampled_from(trace["nodes"]) if trace["nodes"] else NAMES
+    odd = draw(st.one_of(
+        st.lists(st.lists(ids, min_size=1, max_size=2), min_size=2, max_size=2),
+        st.tuples(ids, ids).map("".join),
+        st.lists(ids, min_size=3, max_size=3),
+    ))
+    row = trace["snapshots"][draw(st.integers(0, len(trace["snapshots"]) - 1))]
+    row.insert(draw(st.integers(0, len(row))), odd)
+    return trace
+
+
+@st.composite
 def good_intervals(draw):
     nodes = draw(st.lists(NAMES, unique=True, max_size=4))
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
@@ -99,6 +114,7 @@ TRACES = st.one_of(
     st.tuples(st.just("trace.json"), st.one_of(good_snapshots(), good_intervals()).map(json.dumps)),
     st.tuples(st.just("trace.json"), st.one_of(good_snapshots(), good_intervals()).map(json.dumps)),
     st.tuples(st.just("trace.json"), st.one_of(SNAPSHOT_JSON, INTERVAL_JSON, ANY_JSON).map(json.dumps)),
+    st.tuples(st.just("trace.json"), odd_snapshots().map(json.dumps)),
     st.tuples(st.just("trace.csv"), CSV_TEXT),
     st.tuples(st.just("trace.json"), st.sampled_from(["", "{", "[]", "null", '{"format": "snapshots"}'])),
 )

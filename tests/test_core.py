@@ -18,7 +18,6 @@ from tempnet.core import (
     discretize,
     edge,
     footprint,
-    induced_sequence,
     intersection_graph,
     lifetime,
     snapshot_at,
@@ -223,13 +222,6 @@ def test_discretize_matches_presence_on_midpoints(ig):
     for snap, (a, b) in zip(seq.snapshots, spans):
         mid = (a + b) / 2
         assert snapshot_at(ig, mid).edges == snap
-
-
-def test_induced_sequence(journey_fig):
-    sub = induced_sequence(journey_fig, {"a", "b", "c"})
-    assert sub.nodes == frozenset("abc")
-    assert sub.snapshots[0] == frozenset({("a", "c"), ("b", "c")})
-    assert sub.snapshots[3] == frozenset()
 
 
 @given(st.integers(0, 9), st.data())

@@ -1,5 +1,6 @@
 """Sliding-window property decisions and their operation budgets."""
 
+import dataclasses
 import math
 
 import pytest
@@ -31,6 +32,9 @@ def algebra_for(prop, seq, kind):
         return footprint_realization(footprint(seq))
     if prop == "tdiam":
         return tdiameter(kind)
+    if prop == "ecc":  # the algebra of the ecc:v window series, v the least node: its row is full
+        full = (1 << len(seq.nodes)) - 1
+        return dataclasses.replace(tdiameter(kind), test=lambda x: x & full == full)
     return rt_tdiameter(kind)
 
 
@@ -45,6 +49,25 @@ def test_decide_matches_bruteforce(seq, kind, prop, data):
     want = oracles.brute_decide(seq, prop, r, kind=kind, target=footprint(seq))
     assert got.value == want
     assert sum(got.ops.values()) <= 6 * seq.delta
+
+
+@settings(deadline=None)
+@given(st.one_of(sequences(max_n=4, max_delta=7), dense_sequences(max_n=6, max_delta=7)), KINDS,
+       st.sampled_from(["tinterval", "realization", "tdiam", "rtdiam", "ecc"]))
+def test_decide_value_and_ops_equal_the_reference_loop(seq, kind, prop):
+    alg = algebra_for(prop, seq, kind)
+    for r in range(1, seq.delta + 1):
+        got = decide(alg, seq, r)
+        assert (got.value, got.ops) == oracles.loop_decide(alg, seq, r)
+
+
+def test_a_stream_that_stops_on_a_failing_window_makes_no_pop_after_it():
+    seq = seq_of("abc", ["ab"], ["ab"])  # the one 2-window shares edge ab only, which spans no tree
+    inc = IncrementalDecide(tinterval(), 2)
+    assert [inc.append(seq.graph_at(t)) for t in range(2)] == [None, False]
+    # a pop here would move both snapshots to the front stack, one more compose
+    assert inc.ops == {"compose": 1, "test": 1} == decide(tinterval(), seq, 2).ops
+    assert oracles.loop_decide(tinterval(), seq, 2) == (False, inc.ops)
 
 
 @given(sequences(max_n=4, max_delta=6), KINDS, PROPS)

@@ -109,6 +109,35 @@ def test_snapshot_load_error_messages(nodes, edge, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # a two-character string unpacks into two endpoints, and an object iterates over its keys
+        ({"snapshots": [["ab"]]}, "malformed snapshot trace: an edge must be an array, got str"),
+        ({"snapshots": {"": 1}}, "malformed snapshot trace: a snapshot must be an array, got str"),
+        ({"snapshots": [{"ab": 1}]}, "malformed snapshot trace: a snapshot must be an array, got dict"),
+        ({"snapshots": {"ab": 1}}, "malformed snapshot trace: not enough values to unpack (expected 2, got 1)"),
+        ({"nodes": "ab"}, "malformed snapshot trace: nodes must be an array, got str"),
+        ({"nodes": {"a": 1, "b": 2}}, "malformed snapshot trace: nodes must be an array, got dict"),
+        # the shape comes first, the ids after it
+        ({"nodes": "a2", "snapshots": [[["a", 2]]]}, "malformed snapshot trace: nodes must be an array, got str"),
+        ({"format": "intervals", "edges": [{"u": "a", "v": "b", "intervals": ["01"]}]},
+         "malformed interval trace: an interval must be an array, got str"),
+        ({"format": "intervals", "edges": [{"u": "a", "v": "b", "intervals": {"01": 1}}]},
+         "malformed interval trace: intervals must be an array, got dict"),
+        ({"format": "intervals", "edges": {}}, "malformed interval trace: edges must be an array, got dict"),
+        ({"format": "intervals", "nodes": "ab", "edges": []},
+         "malformed interval trace: nodes must be an array, got str"),
+    ],
+)
+def test_load_graph_rejects_what_only_iterates_like_an_array(payload, message):
+    trace = {"format": "snapshots", "nodes": ["a", "b"], "snapshots": [[]]} | payload
+    for data in (trace, json.dumps(trace)):
+        with pytest.raises(InputError) as exc:
+            load_graph(data)
+        assert str(exc.value) == message
+
+
 NAMES = st.sampled_from(["a", "b", "c"])
 IDS = st.one_of(NAMES, NAMES, st.sampled_from(["", None, 1]), st.lists(NAMES, max_size=2))
 PAIRS = st.one_of(

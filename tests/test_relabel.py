@@ -79,6 +79,16 @@ def test_broadcast_conditions(weekly_line, connected_g):
     assert cond == {"necessary": False, "sufficient": False}
 
 
+@given(sequences(max_n=5, max_delta=5))
+def test_broadcast_conditions_read_the_brute_closures(seq):
+    closures = {kind: oracles.brute_closure_arcs(seq, kind) for kind in ("strict", "nonstrict")}
+    for emitter in sorted(seq.nodes):
+        reaches_all = {kind: all((emitter, v) in arcs for v in seq.nodes - {emitter})
+                       for kind, arcs in closures.items()}
+        assert check_conditions(seq, "broadcast", emitter=emitter) == {
+            "necessary": reaches_all["nonstrict"], "sufficient": reaches_all["strict"]}
+
+
 @settings(deadline=None)  # the exhaustive branch is slow but bounded below
 @given(sequences(max_n=4, max_delta=3))
 def test_broadcast_conditions_are_meaningful(seq):

@@ -19,7 +19,6 @@ def test_initial_state_is_all_singletons(journey_fig):
     assert state.t == 0
     assert state.roots() == set(journey_fig.nodes)
     assert state.tokens == set(journey_fig.nodes)
-    assert state.tree_edges() == set()
     simforest.check_invariants(state)
 
 
