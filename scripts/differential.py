@@ -12,6 +12,10 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
 * ``earliest_arrival`` (every table field), ``latest_departure``,
   ``shortest_journey``, ``fastest_journey``, ``foremost_tree_intervals`` and
   the interval ``sliding_metric``;
+* ``validate_journey`` on every journey that ``earliest_arrival`` (through
+  ``journey_to``, for every node), ``shortest_journey`` and
+  ``fastest_journey`` return, and on interval graphs ``supports_hop`` on
+  every edge and one absent pair, at times drawn on run ends;
 * ``steady_progress_alpha`` for both kinds, with and without ``pair`` and
   ``window``;
 * ``relabel.run`` for every protocol, three runs sharing one rng, and
@@ -21,7 +25,8 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
   (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
   ``tdiameter`` and ``rt_tdiameter``; ``relabel.check_conditions`` for every
   protocol;
-* ``finite_class_membership`` for every class and kind (12 calls);
+* ``finite_class_membership`` for every class and kind (12 calls) and
+  ``classes.classify``;
 * every ``tempnet`` verb through ``tempnet.cli.main``, all in the worker's one
   process: random options on the case's trace (a JSON file, a link-stream
   CSV or stdin), now and then with ``--out FILE``, plus one usage error or
@@ -98,7 +103,7 @@ def calls_for(rng: random.Random, g, discrete: bool):
     from tempnet import classes, relabel, simforest, windows
     from tempnet import hierarchy as H
     from tempnet import journeys as J
-    from tempnet.core import footprint
+    from tempnet.core import footprint, supports_hop
 
     nodes = sorted(g.nodes)
     hi = g.delta if discrete else int(g.span[1])
@@ -115,15 +120,20 @@ def calls_for(rng: random.Random, g, discrete: bool):
 
     out = [("finite_class_membership", partial(classes.finite_class_membership, g, name, kind))
            for name in CLASS_NAMES for kind in KINDS]
+    out.append(("classify", partial(classes.classify, g)))
     for kind in KINDS:
         u, v = rng.choice(nodes), rng.choice(nodes)
+        foremost = partial(J.earliest_arrival, g, u, when(), kind, rng.choice((None, when())))
+        latest = partial(J.latest_departure, g, u, v, when(), kind)
+        shortest = partial(J.shortest_journey, g, u, v, when(), kind)
+        fastest = partial(J.fastest_journey, g, u, v, rng.choice((None, window())), kind)
         out += [
-            ("earliest_arrival", partial(J.earliest_arrival, g, u, when(), kind,
-                                         rng.choice((None, when())))),
-            ("latest_departure", partial(J.latest_departure, g, u, v, when(), kind)),
-            ("shortest_journey", partial(J.shortest_journey, g, u, v, when(), kind)),
-            ("fastest_journey", partial(J.fastest_journey, g, u, v,
-                                        rng.choice((None, window())), kind)),
+            ("earliest_arrival", foremost),
+            ("latest_departure", latest),
+            ("shortest_journey", shortest),
+            ("fastest_journey", fastest),
+            *[("validate_journey", partial(validated, g, call))
+              for call in (foremost, shortest, fastest)],
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, None, kind)),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, window(), kind)),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, None, kind, (u, v))),
@@ -159,7 +169,22 @@ def calls_for(rng: random.Random, g, discrete: bool):
         width = Fraction(rng.randint(1, 2 * hi), 2)
         step = Fraction(1, rng.choice(DENOMINATORS))
         out.append(("sliding_metric", partial(windows.sliding_metric, g, metric, width, step)))
+        for e in [*sorted(g.edges), ("v0", "v9")]:  # v9 is never a node: an absent pair
+            ends = [x for run in g.edges.get(e, ()) for x in run]
+            for t in [*rng.sample(ends, min(len(ends), 3)), when()]:
+                out.append(("supports_hop", partial(supports_hop, g, e, t)))
     return out
+
+
+def validated(g, call):
+    """``validate_journey`` on every journey that call returns: one journey or
+    None, or a table's ``journey_to`` for every node."""
+    from tempnet.journeys import ReachabilityTable, validate_journey
+
+    found = call()
+    journeys = ([found.journey_to(v) for v in sorted(g.nodes)]
+                if isinstance(found, ReachabilityTable) else [found])
+    return [None if j is None else validate_journey(g, j) for j in journeys]
 
 
 def incremental_verdicts(algebra, g, r: int):

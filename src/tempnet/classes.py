@@ -187,18 +187,15 @@ def classify(g: TemporalGraph) -> ClassReport:
 
     Continuous traces are classified through their discretization.  The
     witness reported per class is the strict one when strict membership
-    holds, otherwise the non-strict one.
+    holds, otherwise the non-strict one.  Strict membership implies
+    non-strict, so the non-strict test runs only when the strict one fails.
     """
     seq = _as_sequence(g)
     classes: dict[str, dict[str, object]] = {}
     for name in CLASS_NAMES:
         s_ok, s_wit = finite_class_membership(seq, name, "strict")
-        n_ok, n_wit = finite_class_membership(seq, name, "nonstrict")
-        classes[name] = {
-            "strict": s_ok,
-            "nonstrict": n_ok,
-            "witness": s_wit if s_ok else n_wit,
-        }
+        n_ok, wit = (s_ok, s_wit) if s_ok else finite_class_membership(seq, name, "nonstrict")
+        classes[name] = {"strict": s_ok, "nonstrict": n_ok, "witness": wit}
     return ClassReport(
         classes=classes,
         delta=bounded_realization_delta(seq),

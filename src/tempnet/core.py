@@ -22,7 +22,6 @@ All types are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -412,14 +411,20 @@ def characteristic_dates(g: IntervalGraph) -> tuple[Fraction, ...]:
     return tuple(sorted(dates))
 
 
+def _first_hop(ivs: Intervals, lb: Time, zeta: Time) -> Time | None:
+    """The hop rule, stated once: the earliest s >= lb such that [s, s+zeta]
+    lies inside the closure [a, b] of one run of ivs, or None."""
+    for a, b in ivs:
+        s = a if a > lb else lb
+        if s + zeta <= b:
+            return s
+    return None
+
+
 def supports_hop(g: IntervalGraph, e: Edge, s: Time) -> bool:
     """True iff the edge can carry a hop departing at s ([s, s+zeta] within [a, b])."""
-    ivs = g.edges.get(e)
-    if ivs is None:
-        return False
     s = as_time(s)
-    i = bisect.bisect_right([a for a, _ in ivs], s) - 1
-    return i >= 0 and s + g.latency <= ivs[i][1]
+    return _first_hop(g.edges.get(e, ()), s, g.latency) == s
 
 
 def footprint(g: TemporalGraph) -> StaticGraph:

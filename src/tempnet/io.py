@@ -237,6 +237,7 @@ def journey_from_json(data, latency=None):
             raise InputError(f"not valid JSON: {exc}") from exc
     try:
         hops = tuple((u, v, as_time(t)) for u, v, t in data["hops"])
+        _check_array(data["hops"], "hops", "a hop")
         kind = data["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed journey: {exc}") from exc

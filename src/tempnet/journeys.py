@@ -34,6 +34,7 @@ from .core import (
     Time,
     _check_kind,
     _check_limit,
+    _first_hop,
     _hop_rows,
     _mask_bits,
     _node_index,
@@ -44,6 +45,7 @@ from .core import (
     edge,
     lifetime,
     supports_hop,
+    temporal_subgraph,
 )
 from .errors import InputError, RangeError
 
@@ -205,14 +207,10 @@ def _foremost(ig, src, t0, kind, dep_hi):
         for y, ivs in ig.incident[x]:
             if y in arrival:
                 continue  # settled: an entry toward y would be popped and dropped
-            for a, b in ivs:
-                s = max(dep_lb, a)
-                if s + zeta > b:
-                    continue
-                if is_start and dep_hi is not None and s > dep_hi:
-                    break  # s only grows with later intervals
-                heapq.heappush(heap, (s + zeta, base_hops + 1, y, x, s))
-                break  # earliest feasible interval gives minimal arrival
+            s = _first_hop(ivs, dep_lb, zeta)  # the earliest hop gives the least arrival
+            if s is None or is_start and dep_hi is not None and s > dep_hi:
+                continue
+            heapq.heappush(heap, (s + zeta, base_hops + 1, y, x, s))
 
     relax_from(src, t0, 0, True)
     while heap:
@@ -296,15 +294,6 @@ def shortest_journey(
     if u == v:
         return Journey((), kind, latency)
     zeta = g.latency
-
-    def first_dep(ivs, lb) -> Optional[Time]:
-        # earliest time >= lb at which the edge can carry a hop
-        for a, b in ivs:
-            s = max(lb, a)
-            if s + zeta <= b:
-                return s
-        return None
-
     layer: dict[str, Time] = {u: t0}  # node -> earliest arrival using exactly h hops
     back: dict[tuple[str, int], tuple[str, Time]] = {}
     n = len(g.nodes)
@@ -314,7 +303,7 @@ def shortest_journey(
             arr = layer[x]
             lb = arr if (h == 1 or strict) else arr - zeta
             for y, ivs in g.incident[x]:
-                s = first_dep(ivs, lb)
+                s = _first_hop(ivs, lb, zeta)
                 if s is None:
                     continue
                 arr_y = s + zeta
@@ -460,11 +449,13 @@ def steady_progress_alpha(
     node-distinct journey in the window whose initial wait (first hop time
     minus window start) and idles are <= alpha.
 
-    The idle between hops at t1 and t2 is t2 - t1 - c as in Journey.max_wait:
-    on a sequence c is 1 strict and 0 non-strict; on an interval graph c is
-    zeta in both kinds (a non-strict hop may leave before the last arrives).
-    A sequence runs the one search on its integer ticks with integer alpha.
-    Returns None when some pair has no such journey in the window at all.
+    The window [s, e) is the trace restricted to it (``temporal_subgraph``;
+    at zero latency a run ending at s is outside it).  The idle between hops
+    at t1 and t2 is t2 - t1 - c as in Journey.max_wait: on a sequence c is 1
+    strict and 0 non-strict; on an interval graph c is zeta in both kinds (a
+    non-strict hop may leave before the last arrives).  A sequence runs the
+    one search on its slice's integer ticks with integer alpha.  Returns
+    None when some pair has no such journey in the window at all.
     """
     strict = _check_kind(kind)
     discrete = isinstance(g, SnapshotSequence)
@@ -482,16 +473,15 @@ def steady_progress_alpha(
         wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta)
         if whi <= wlo:
             raise RangeError(f"empty window [{wlo}, {whi})")
-        ig, gap, cost = g._ticks, int(strict), int(strict)
         cands: list = list(range(whi - wlo))
+        # alpha is built from time differences, so the slice's ticks may start at 0
+        ig, wlo, gap, cost = temporal_subgraph(g, (wlo, whi))._ticks, 0, int(strict), int(strict)
     else:
-        wlo, whi = as_time(wlo), as_time(whi)
-        if not wlo < whi:
-            raise RangeError(f"empty window [{wlo}, {whi})")
-        ig, gap, cost = g, g.latency if strict else 0, g.latency
+        ig = temporal_subgraph(g, (wlo, whi))
+        (wlo, whi), gap, cost = ig.span, g.latency if strict else 0, g.latency
         span = whi - wlo
         n = len(g.nodes)
-        anchors = {d for d in characteristic_dates(g) if wlo < d < whi} | {wlo, whi}
+        anchors = {*characteristic_dates(ig), wlo, whi}
         cands = sorted({
             Fraction(d2 - d1 - k * g.latency, j)
             for d1 in anchors
@@ -509,7 +499,7 @@ def steady_progress_alpha(
     def feasible(i):
         for k, (a, b) in enumerate(pairs):
             if ok_from[k] > i:
-                if not _alpha_ok(ig, a, b, wlo, whi, cands[i], gap, cost):
+                if not _alpha_ok(ig, a, b, wlo, cands[i], gap, cost):
                     return False
                 ok_from[k] = i
         return True
@@ -529,8 +519,8 @@ def steady_progress_alpha(
     return cands[lo_i]
 
 
-def _alpha_ok(ig, src, dst, wlo, whi, alpha, gap, cost) -> bool:
-    """Does a node-distinct src ~> dst journey in [wlo, whi) wait <= alpha?
+def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:
+    """Does a node-distinct src ~> dst journey in ig, a window from wlo, wait <= alpha?
 
     Along a fixed path and choice of runs each hop's feasible times form a
     range [lo, hi] (an exact projection), and the next hop may leave in
@@ -549,11 +539,11 @@ def _alpha_ok(ig, src, dst, wlo, whi, alpha, gap, cost) -> bool:
             if y in on_path:
                 continue
             for a, b in ivs:
-                if a > last or a >= whi:
+                if a > last:
                     break  # runs are sorted
-                end = (b if b < whi else whi) - zeta  # latest hop in the run clipped to the window
-                s_lo = a if a > first else first
-                if s_lo <= end and b > wlo:
+                # core._first_hop's rule as a range: [s, s + zeta] within [a, b]
+                s_lo, end = a if a > first else first, b - zeta
+                if s_lo <= end:
                     yield y, s_lo, end if end < last else last
 
     # a virtual hop before the window makes the first one leave in [wlo, wlo + alpha]

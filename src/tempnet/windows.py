@@ -1,9 +1,10 @@
 """Sliding-window observables over a trace.
 
-Metrics are measured inside each window [s, s+width) with journeys departing
-at or after the window start (unlike the pointwise eccentricity convention,
-which looks just after an instant).  Windows advance by a fixed step from
-the start of the lifetime; a trailing partial window is dropped.
+Metrics are measured on the trace restricted to each window [s, s+width)
+(``temporal_subgraph``; at zero latency a run ending at s is outside it), with
+journeys departing at or after s (unlike the pointwise eccentricity
+convention, which looks just after an instant).  Windows advance by a fixed
+step from the start of the lifetime; a trailing partial window is dropped.
 
 On a snapshot sequence one walk of the strict ``tdiameter`` window algebra
 (:mod:`tempnet.hierarchy`) finds, for every start s, the length q[s] of the

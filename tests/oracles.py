@@ -4,13 +4,14 @@ Everything here trades speed for obviousness: exhaustive journey
 enumeration, fixpoint reachability over (node, time) states, literal subset
 and subgraph enumeration.  Journey search, foremost times, closures and
 round-trip arcs come from the (node, time) fixpoint, and interval fastest
-journeys and latest departures from the same fixpoint on the lcm grid of an
-interval graph's times; exhaustive enumeration of node-distinct journeys
-backs the journey and steady-progress oracles and cross-checks the fixpoint
-on tiny traces.  Library results are compared against these on desk-scale
+journeys, latest departures and window eccentricities from the same fixpoint
+on the lcm grid of an interval graph's times; exhaustive enumeration of
+node-distinct journeys backs the journey and steady-progress oracles and
+cross-checks the fixpoint on tiny traces.  Library results are compared against these on desk-scale
 instances; nothing in this module shares code with the package
-(`SnapshotSequence` serves only as a container), except `loop_decide`, which
-drives the package's counting queue so that its operation counts compare.
+(`SnapshotSequence` and `IntervalGraph` serve only as containers), except
+`loop_decide`, which drives the package's counting queue so that its
+operation counts compare.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from tempnet.core import SnapshotSequence, StaticGraph, edge
+from tempnet.core import IntervalGraph, SnapshotSequence, StaticGraph, edge
 from tempnet.errors import ContractError
 
 
@@ -504,6 +505,39 @@ def brute_latest_departure_intervals(ig, src, kind, t):
         if x != src and s + ig.latency <= t and (x not in best or d > best[x]):
             best[x] = d
     return best
+
+
+def window_eccentricities(ig, width, step):
+    """(s, {u: ecc}) per window [s, s + width) of an interval graph, s from the
+    lifetime start by step while the window fits: ecc of u is the latest
+    foremost strict arrival from u minus s, inf once a node is missed.
+
+    A window is the trace restricted to it: each run is cut to [s, s + width)
+    here, a run left empty is dropped, and arrivals are read off
+    grid_first_hops on what is left, with first hops at or after s.
+    """
+    lo, hi = ig.span
+    out = []
+    s = lo
+    while s + width <= hi:
+        e = s + width
+        runs = {}
+        for pair, ivs in ig.edges.items():
+            cut = ((a if a > s else s, b if b < e else e) for a, b in ivs)
+            kept = tuple((a, b) for a, b in cut if a < b)
+            if kept:
+                runs[pair] = kept
+        window = IntervalGraph(ig.nodes, runs, ig.latency, (s, e))
+        eccs = {}
+        for u in sorted(ig.nodes):
+            arrival = {u: s}
+            for (x, t), _ in grid_first_hops(window, u, "strict", s, e).items():
+                arrival[x] = min(arrival.get(x, math.inf), t + ig.latency)
+            missed = len(arrival) < len(ig.nodes)
+            eccs[u] = math.inf if missed else max(t - s for t in arrival.values())
+        out.append((s, eccs))
+        s += step
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,17 @@ def test_classify_report_shape(journey_fig):
     assert data["tinterval"] is None  # some snapshot is already disconnected
 
 
+@given(sequences(max_n=4, max_delta=4))
+def test_classify_reads_the_direct_memberships(seq):
+    # classify runs the non-strict test only where the strict one fails
+    classes = classify(seq).classes
+    for name in CLASS_NAMES:
+        s_ok, s_wit = finite_class_membership(seq, name, "strict")
+        n_ok, n_wit = finite_class_membership(seq, name, "nonstrict")
+        witness = s_wit if s_ok else n_wit
+        assert classes[name] == {"strict": s_ok, "nonstrict": n_ok, "witness": witness}
+
+
 def test_classify_continuous_goes_through_discretization(distance_fig):
     report = classify(distance_fig)
     assert report.classes["TC"]["strict"] is False  # nothing ever reaches a

@@ -232,6 +232,17 @@ def test_journey_validate(capsys, trace_file, journey_fig, tmp_path):
     assert data == {"valid": True}
 
 
+@pytest.mark.parametrize("hops", [["ab1"], {"ab1": 0}], ids=["string-hop", "object-hops"])
+def test_journey_validate_rejects_malformed_hops(capsys, tmp_path, hops):
+    # both used to load as the hop (a, b, 1) and validate on a two-snapshot a-b trace
+    trace = tmp_path / "ab.json"
+    trace.write_text('{"format":"snapshots","nodes":["a","b"],"snapshots":[[["a","b"]],[["a","b"]]]}')
+    jpath = tmp_path / "journey.json"
+    jpath.write_text(json.dumps({"hops": hops, "kind": "strict"}))
+    assert main(["journey", str(trace), "--mode", "validate", "--journey", str(jpath)]) == 1
+    assert capsys.readouterr().err.startswith("tempnet: error: malformed journey: ")
+
+
 def test_journey_disjoint_separator(capsys, trace_file, menger_fig):
     src = trace_file(menger_fig)
     assert run_json(

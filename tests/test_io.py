@@ -238,3 +238,24 @@ def test_journey_json_roundtrip_continuous():
 def test_journey_json_rejects_bad_kind():
     with pytest.raises(InputError):
         journey_from_json({"hops": [], "kind": "loose"})
+
+
+@pytest.mark.parametrize(
+    "hops, message",
+    [
+        # a three-character string unpacks into (u, v, t), and an object iterates over its keys
+        (["ab1"], "malformed journey: a hop must be an array, got str"),
+        ({"ab1": 0}, "malformed journey: hops must be an array, got dict"),
+        # the read names a fault it meets first
+        ("ab1", "malformed journey: not enough values to unpack (expected 3, got 1)"),
+    ],
+    ids=["string-hop", "object-hops", "string-hops"],
+)
+def test_journey_json_rejects_malformed_hops(hops, message):
+    with pytest.raises(InputError) as exc:
+        journey_from_json(json.dumps({"hops": hops, "kind": "strict"}))
+    assert str(exc.value) == message
+
+
+def test_journey_json_takes_tuples_from_python_callers():
+    assert journey_from_json({"hops": (("a", "b", 1),), "kind": "strict"}).hops == (("a", "b", 1),)

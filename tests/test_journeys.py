@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import long_line, seq_of
 from strategies import KINDS, interval_graphs, sequences
-from tempnet.core import IntervalGraph, to_intervals
+from tempnet.core import IntervalGraph, edge, supports_hop, to_intervals
 from tempnet import journeys
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.journeys import (
@@ -30,6 +30,7 @@ from tempnet.journeys import (
     temporal_distance,
     validate_journey,
 )
+from tempnet.windows import sliding_metric
 
 Z = Fraction(1, 100)
 
@@ -450,6 +451,42 @@ def test_interval_alpha_nonstrict_hops_may_share_an_instant():
     assert steady_progress_alpha(g, pair=("a", "c")) is None
     assert steady_progress_alpha(g, pair=("a", "c"), kind="nonstrict") == 0
     assert earliest_arrival(g, "a", 0, "nonstrict").arrival["c"] == 1
+
+
+def test_zero_latency_hop_may_leave_as_its_run_ends():
+    # a hop at s needs [s, s + zeta] within the closure [a, b] of a run, so at
+    # zeta = 0 the run [0, 1) carries a hop at 1; a window is the trace
+    # restricted to it, and [1, 2) keeps nothing of that run
+    g = IntervalGraph.build("ab", {("a", "b"): [(0, 1)]}, latency=0, span=(0, 2))
+    assert earliest_arrival(g, "a", 1).journey_to("b").hops == (("a", "b", 1),)
+    assert supports_hop(g, ("a", "b"), 1) and not supports_hop(g, ("a", "b"), Fraction(3, 2))
+    assert validate_journey(g, Journey((("a", "b", 1),), "strict", Fraction(0)))
+    # attained at the run's end; a half-open rule would leave only sup{s < 1}
+    assert latest_departure(g, "a", "b", 2) == 1
+    assert sliding_metric(g, "tc", 1, 1).points == ((0, 1), (1, 0))
+    assert steady_progress_alpha(g, (1, 2)) is None
+    assert steady_progress_alpha(g, (Fraction(1, 2), 2)) == 0
+
+
+@settings(deadline=None)
+@given(
+    interval_graphs(latencies=(Fraction(0), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    QUARTERS,
+    st.none() | QUARTERS,
+    st.tuples(QUARTERS, QUARTERS),
+)
+def test_returned_journeys_are_valid_hop_by_hop(g, kind, t, dep_hi, window):
+    lo, hi = g.span
+    found = []
+    for u in sorted(g.nodes):
+        table = earliest_arrival(g, u, min(max(t, lo), hi), kind, dep_hi)
+        found += [table.journey_to(v) for v in sorted(g.nodes)]
+        for v in sorted(g.nodes - {u}):
+            found += [shortest_journey(g, u, v, t, kind), fastest_journey(g, u, v, window, kind)]
+    for j in filter(None, found):
+        assert validate_journey(g, j), j
+        assert all(supports_hop(g, edge(x, y), s) for x, y, s in j.hops), j
 
 
 def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import seq_of
-from strategies import dense_sequences
+from strategies import dense_sequences, interval_graphs
 from tempnet.core import IntervalGraph, SnapshotSequence
 from tempnet.errors import InputError, RangeError
 from tempnet.windows import WindowSeries, sliding_metric
@@ -74,6 +75,21 @@ def test_discrete_series_match_per_window_bruteforce(seq):
             for metric, values in expected.items():
                 series = sliding_metric(seq, metric, width, step)
                 assert series.points == tuple(zip(starts, values)), (metric, width, step)
+
+
+HALVES = st.integers(1, 16).map(lambda k: Fraction(k, 2))
+
+
+@settings(deadline=None)
+@given(interval_graphs(latencies=(Fraction(0), Fraction(1, 2), Fraction(1))), HALVES, HALVES)
+def test_interval_series_match_per_window_oracle(g, width, step):
+    windows = oracles.window_eccentricities(g, width, step)
+    starts = [s for s, _ in windows]
+    tdiam = [max(eccs.values()) for _, eccs in windows]
+    expected = {"tdiam": tdiam, "tc": [int(d != math.inf) for d in tdiam]}
+    expected |= {f"ecc:{u}": [eccs[u] for _, eccs in windows] for u in sorted(g.nodes)}
+    for metric, values in expected.items():
+        assert sliding_metric(g, metric, width, step).points == tuple(zip(starts, values)), metric
 
 
 @pytest.mark.parametrize("g", [
