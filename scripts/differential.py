@@ -10,7 +10,8 @@ snapshot sequences and interval graphs drawn with stdlib ``random`` (mixed
 time denominators, latency in {0, 1/3, 1/2, 1}), and they call
 
 * ``earliest_arrival`` (every table field), ``latest_departure``,
-  ``shortest_journey``, ``fastest_journey``, ``foremost_tree_intervals`` and
+  ``shortest_journey``, ``fastest_journey``, ``temporal_distance``,
+  ``eccentricity``, ``temporal_diameter_at``, ``foremost_tree_intervals`` and
   the interval ``sliding_metric``;
 * ``validate_journey`` on every journey that ``earliest_arrival`` (through
   ``journey_to``, for every node), ``shortest_journey`` and
@@ -34,9 +35,10 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
 
 Each result is compared as a value together with its types, and each raised
 error by its type and message; each CLI call by its exit code, stdout,
-stderr and the ``--out`` file.  Prints the number of cases and differences
-per function or verb, then the first differences.  Exits 1 when any case
-differs.
+stderr and the ``--out`` file.  Prints the number of calls and differences
+per function or verb, then the differences grouped by function, base
+outcome and new outcome (a value, an error's type, or a CLI exit code): a
+count per group and its first few examples.  Exits 1 when any case differs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ KINDS = ("strict", "nonstrict")
 CLASS_NAMES = ("J1A", "JA1", "TC", "TCrt", "E1A", "K")
 LATENCIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 DENOMINATORS = (1, 2, 3, 4, 6)
+EXAMPLES = 2  # differences printed per group
 
 
 # ---------------------------------------------------------------- case generation
@@ -138,6 +141,9 @@ def calls_for(rng: random.Random, g, discrete: bool):
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, window(), kind)),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, None, kind, (u, v))),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, window(), kind, (u, v))),
+            ("temporal_distance", partial(J.temporal_distance, g, u, when(), kind)),
+            ("eccentricity", partial(J.eccentricity, g, u, when(), kind)),
+            ("temporal_diameter_at", partial(J.temporal_diameter_at, g, when(), kind)),
         ]
         if not discrete:
             out.append(("foremost_tree_intervals",
@@ -361,6 +367,16 @@ def worker(src: str, cases: int, seed: int) -> None:
                               run_cli(argv, stdin)]))
 
 
+def outcome_kind(result: list) -> str:
+    """'value', 'error <type>', 'exit <code>' or 'crash <type>': what a difference is grouped by."""
+    if result[0] == "error":
+        return f"error {result[1]}"
+    if result[0] == "exit":
+        code = result[1]
+        return f"crash {code[1]}" if isinstance(code, list) else f"exit {code}"
+    return result[0]
+
+
 def run_tree(src: Path, args) -> list:
     cmd = [sys.executable, "-s", str(Path(__file__).resolve()), "--worker", str(src),
            "--cases", str(args.cases), "--seed", str(args.seed)]
@@ -400,21 +416,25 @@ def main() -> int:
     if [r[:2] for r in base] != [r[:2] for r in head]:
         sys.exit("differential: the two runs made different calls")
     counts: dict[str, list[int]] = {}
-    diffs = []
+    groups: dict[tuple[str, str, str], list] = {}
     for (name, where, want), (_, _, got) in zip(base, head):
         tally = counts.setdefault(name, [0, 0])
         tally[0] += 1
         if want != got:
             tally[1] += 1
-            diffs.append((name, where, want, got))
+            key = (name, outcome_kind(want), outcome_kind(got))
+            groups.setdefault(key, []).append((where, want, got))
     print(f"base {args.base} vs this checkout, {args.cases} graphs, seed {args.seed}")
     for name, (n, d) in sorted(counts.items()):
         print(f"  {name:26} {n:6} calls {d:6} differences")
-    print(f"  {'total':26} {len(base):6} calls {len(diffs):6} differences")
-    for name, where, want, got in diffs[:5]:
-        print(f"\n{name}, {where}:")
-        print(f"  base: {json.dumps(want)[:400]}\n  here: {json.dumps(got)[:400]}")
-    return 1 if diffs else 0
+    total = sum(d for _, d in counts.values())
+    print(f"  {'total':26} {len(base):6} calls {total:6} differences")
+    for (name, was, now), found in sorted(groups.items()):
+        print(f"\n{name}: {was} -> {now}: {len(found)} differences")
+        for where, want, got in found[:EXAMPLES]:
+            print(f"  {where}:")
+            print(f"    base: {json.dumps(want)[:400]}\n    here: {json.dumps(got)[:400]}")
+    return 1 if groups else 0
 
 
 if __name__ == "__main__":

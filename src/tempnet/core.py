@@ -140,7 +140,9 @@ def _reach_masks(seq: SnapshotSequence, strict: bool, within: frozenset[str] | N
 def _check_limit(nodes: frozenset[str], limit_n: int | None, what: str):
     """The exponential searches' desk-scale contract: at most limit_n nodes, None for no limit."""
     if limit_n is not None and len(nodes) > limit_n:
-        raise ContractError(f"{len(nodes)} nodes exceed the {what} limit {limit_n}")
+        raise ContractError(f"{len(nodes)} nodes exceed the {what} limit {limit_n}; raise it "
+                            "with limit_n (None removes it) or --limit-n on the command line "
+                            "(0 removes it)")
 
 
 def _check_edges(edges: Iterable[Edge], nodes: frozenset[str]):

@@ -248,12 +248,18 @@ def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -
 
 
 def eccentricity(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> Time:
-    dist = temporal_distance(g, u, t, kind)
-    return max(dist.values()) if dist else 0
+    """Largest temporal distance from u at t; int 0 when every distance is 0."""
+    return max(0, *temporal_distance(g, u, t, kind).values())
 
 
 def temporal_diameter_at(g: TemporalGraph, t: Time, kind: str = "strict") -> Time:
-    return max(eccentricity(g, u, t, kind) for u in sorted(g.nodes))
+    """Largest eccentricity at t, sources in name order; stops at the first inf."""
+    worst: Time = 0
+    for u in sorted(g.nodes):
+        worst = max(worst, eccentricity(g, u, t, kind))
+        if worst == INF:
+            break
+    return worst
 
 
 def latest_departure(
@@ -380,14 +386,7 @@ def fastest_journey(
             if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
                 best = (t - dep[vi], dep[vi])
     else:
-        n = len(g.nodes)
-        cands = sorted({
-            d - k * g.latency
-            for d in (*characteristic_dates(g), wlo, whi)
-            for k in range(n + 2)
-            if wlo <= d - k * g.latency <= whi
-        })
-        for d in cands:
+        for d in _shifted_grid(g, wlo, whi):
             arrival = earliest_arrival(g, u, d, kind, dep_hi=whi).arrival
             if v not in arrival:
                 break  # departing even later cannot help
@@ -398,6 +397,18 @@ def fastest_journey(
     journey = earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)
     assert journey is not None and journey.departure == best[1]
     return journey
+
+
+def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> list[Fraction]:
+    """Characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside [lo, hi]:
+    the fastest sweep's candidate departures and the foremost-tree segment ends."""
+    zeta, n = g.latency, len(g.nodes)
+    return sorted({
+        d - k * zeta
+        for d in (*characteristic_dates(g), lo, hi)
+        for k in range(n + 2)
+        if lo <= d - k * zeta <= hi
+    })
 
 
 def foremost_tree_intervals(
@@ -412,30 +423,25 @@ def foremost_tree_intervals(
     the midpoint of every elementary segment of the zeta-shifted characteristic
     grid, and equal adjacent segments are merged.  Boundary instants are never
     sampled, so the reported half-open intervals are exact on that grid.
+    The window must lie inside the lifetime.
     """
     _check_node(g, src)
     wlo, whi = as_time(window[0]), as_time(window[1])
     if not wlo < whi:
         raise RangeError(f"empty window [{wlo}, {whi})")
-    n = len(g.nodes)
-    grid = sorted(
-        {wlo, whi}
-        | {
-            d - k * g.latency
-            for d in characteristic_dates(g)
-            for k in range(n + 2)
-            if wlo < d - k * g.latency < whi
-        }
-    )
+    lo, hi = lifetime(g)
+    if not lo <= wlo < whi <= hi:
+        raise RangeError(f"window [{wlo}, {whi}) outside lifetime [{lo}, {hi}]")
+    grid = _shifted_grid(g, wlo, whi)
     out: list[tuple[tuple[Fraction, Fraction], dict[str, str]]] = []
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
+    for a, b in zip(grid, grid[1:]):
+        mid = (a + b) / 2
         table = earliest_arrival(g, src, mid, kind)
         shape = {child: p for child, (p, _) in table.parent.items() if child != src}
-        if out and out[-1][1] == shape and out[-1][0][1] == lo:
-            out[-1] = ((out[-1][0][0], hi), shape)
+        if out and out[-1][1] == shape and out[-1][0][1] == a:
+            out[-1] = ((out[-1][0][0], b), shape)
         else:
-            out.append(((lo, hi), shape))
+            out.append(((a, b), shape))
     return out
 
 
@@ -461,7 +467,6 @@ def steady_progress_alpha(
     discrete = isinstance(g, SnapshotSequence)
     if window is None:
         window = (0, g.delta) if discrete else lifetime(g)
-    wlo, whi = window
     if pair is not None:
         _check_node(g, pair[0])
         _check_node(g, pair[1])
@@ -469,16 +474,14 @@ def steady_progress_alpha(
     else:
         nodes = sorted(g.nodes)
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    sub = temporal_subgraph(g, window)
     if discrete:
-        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta)
-        if whi <= wlo:
-            raise RangeError(f"empty window [{wlo}, {whi})")
-        cands: list = list(range(whi - wlo))
+        cands: list = list(range(sub.delta))
         # alpha is built from time differences, so the slice's ticks may start at 0
-        ig, wlo, gap, cost = temporal_subgraph(g, (wlo, whi))._ticks, 0, int(strict), int(strict)
+        ig, wlo, gap, cost = sub._ticks, 0, int(strict), int(strict)
     else:
-        ig = temporal_subgraph(g, (wlo, whi))
-        (wlo, whi), gap, cost = ig.span, g.latency if strict else 0, g.latency
+        ig, (wlo, whi) = sub, sub.span
+        gap, cost = g.latency if strict else 0, g.latency
         span = whi - wlo
         n = len(g.nodes)
         anchors = {*characteristic_dates(ig), wlo, whi}

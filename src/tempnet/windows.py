@@ -2,17 +2,17 @@
 
 Metrics are measured on the trace restricted to each window [s, s+width)
 (``temporal_subgraph``; at zero latency a run ending at s is outside it), with
-journeys departing at or after s (unlike the pointwise eccentricity
-convention, which looks just after an instant).  Windows advance by a fixed
-step from the start of the lifetime; a trailing partial window is dropped.
+journeys departing at or after s.  Windows advance by a fixed step from the
+start of the lifetime; a trailing partial window is dropped.
 
-On a snapshot sequence one walk of the strict ``tdiameter`` window algebra
-(:mod:`tempnet.hierarchy`) finds, for every start s, the length q[s] of the
-shortest window from s in which everyone (for ``ecc:v``, node v) reaches
-everyone; every point reads off q, so a whole series costs O(delta)
-compose and test calls whatever its width and step.  Interval graphs run
-earliest arrival from every node in every window, so their series is
-limited to 10,000 windows.
+An interval window's ``tdiam`` (``tc``: is it finite?) and ``ecc:v`` are
+``temporal_diameter_at`` and ``eccentricity`` of the restricted trace at s,
+so a series is limited to 10,000 windows.  A snapshot sequence's pointwise
+eccentricity looks just after an instant, so there one walk of the strict
+``tdiameter`` window algebra (:mod:`tempnet.hierarchy`) finds, for every
+start s, the length q[s] of the shortest window from s in which everyone
+(for ``ecc:v``, node v) reaches everyone; every point reads off q, so a
+whole series costs O(delta) compose and test calls whatever its width and step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
 from .errors import ContractError, InputError, RangeError
 from .hierarchy import _Swag, _walk_grow, tdiameter
 from .io import format_time
-from .journeys import earliest_arrival
+from .journeys import eccentricity, temporal_diameter_at
 
 METRICS = ("tdiam", "tc")  # plus "ecc:<node>"
 _MAX_WINDOWS = 10_000
@@ -56,20 +56,6 @@ def _shortest_passing(seq: SnapshotSequence, node) -> list:
         full = (1 << n) - 1
         algebra = replace(algebra, test=lambda x: (x >> v * n) & full == full)
     return _walk_grow(_Swag(algebra), seq)
-
-
-def _window_ecc(sub: TemporalGraph, sources, start: Time) -> Time:
-    """Latest foremost arrival - start from any source; inf once a node is missed."""
-    worst: Time = 0
-    for u in sources:
-        table = earliest_arrival(sub, u, start)
-        for v in sub.nodes:
-            if v == u:
-                continue
-            if v not in table.parent:
-                return math.inf
-            worst = max(worst, table.arrival[v] - start)
-    return worst
 
 
 def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
@@ -103,8 +89,9 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
         q = _shortest_passing(g, node)
         values = [q[s] - 1 if q[s] <= width else math.inf for s in starts]
     else:
-        sources = sorted(g.nodes) if node is None else [node]
-        values = [_window_ecc(temporal_subgraph(g, (s, s + width)), sources, s) for s in starts]
+        subs = (temporal_subgraph(g, (s, s + width)) for s in starts)
+        values = [temporal_diameter_at(sub, s) if node is None else eccentricity(sub, node, s)
+                  for sub, s in zip(subs, starts)]
     if metric == "tc":
         values = [int(v != math.inf) for v in values]
     return WindowSeries(metric, width, step, tuple(zip(starts, values)))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import long_line
+from conftest import long_line, seq_of
 import tempnet
 import tempnet.cli as cli
 from tempnet.cli import main
@@ -170,6 +170,12 @@ def test_param_period_and_alpha(capsys, trace_file, weekly_line, distance_fig):
     assert data["value"] == "83/50"
 
 
+def test_param_alpha_names_a_window_outside_the_trace(capsys, trace_file):
+    src = trace_file(seq_of("abc", ["ab"], ["bc"], ["ab"]))
+    assert main(["param", src, "--name", "alpha", "--window", "5", "7"]) == 1
+    assert capsys.readouterr().err == "tempnet: error: window [5, 7) selects no snapshot\n"
+
+
 def test_param_alpha_nonstrict_on_an_interval_graph(capsys, trace_file):
     # b-c closes before a-b's hop arrives: only non-strict hops may share an instant
     g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(0, 1)]}, latency=1)
@@ -259,6 +265,15 @@ def test_components(capsys, trace_file, overlap_fig):
         "count": 2,
         "components": [["a", "b", "c"], ["b", "c", "d"]],
     }
+
+
+def test_components_over_the_limit_says_how_to_lift_it(capsys, trace_file):
+    src = trace_file(seq_of("abcdefghijklmnop", ["ab"]))  # 16 nodes, one over the default
+    assert main(["components", src]) == 2
+    assert capsys.readouterr().err == (
+        "tempnet: error: 16 nodes exceed the component search limit 15; raise it with limit_n"
+        " (None removes it) or --limit-n on the command line (0 removes it)\n"
+    )
 
 
 def test_robust_mis(capsys, trace_file, bull_trace):

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +208,22 @@ def test_eccentricity_rejects_out_of_range(weekly_line):
         eccentricity(weekly_line, "a", weekly_line.delta)
 
 
+def test_zero_eccentricity_is_int_0_whatever_the_hash_seed():
+    # at zeta = 0 everyone is reached at t, so every distance is Fraction 0;
+    # the result must not depend on the order in which the node set iterates
+    code = (
+        "from tempnet.core import IntervalGraph\n"
+        "from tempnet.journeys import eccentricity, temporal_diameter_at\n"
+        "g = IntervalGraph.build('abc', {('a', 'b'): [(0, 2)], ('b', 'c'): [(0, 2)]}, latency=0)\n"
+        "print(repr(eccentricity(g, 'b', 1)), repr(temporal_diameter_at(g, 1)))\n"
+    )
+    env = os.environ | {"PYTHONPATH": str(Path(journeys.__file__).parents[1])}
+    for seed in range(1, 7):
+        done = subprocess.run([sys.executable, "-c", code], env=env | {"PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0 0\n", f"PYTHONHASHSEED={seed}"
+
+
 @given(sequences(), KINDS)
 def test_latest_departure_matches_bruteforce(seq, kind):
     nodes = sorted(seq.nodes)
@@ -329,6 +349,20 @@ def test_foremost_tree_pieces_match_direct_search(triangle_periodic):
         assert {v: p for v, (p, _) in table.parent.items() if v != "a"} == tree
 
 
+@pytest.mark.parametrize("window,shown", [
+    ((0, 2), "[0, 2)"),  # ends after the lifetime
+    ((-1, 1), "[-1, 1)"),  # starts before it
+    ((Fraction(1, 2), 3), "[1/2, 3)"),
+    ((2, 3), "[2, 3)"),  # wholly after it
+])
+def test_foremost_tree_rejects_a_window_outside_the_lifetime(window, shown):
+    g = IntervalGraph.build("ab", {("a", "b"): [(0, 1)]}, latency=0)
+    with pytest.raises(RangeError) as raised:
+        foremost_tree_intervals(g, "a", window)
+    assert str(raised.value) == f"window {shown} outside lifetime [0, 1]"
+    assert foremost_tree_intervals(g, "a", (0, 1)) == [((0, 1), {"b": "a"})]
+
+
 @given(sequences(max_n=4, max_delta=4), KINDS)
 def test_alpha_matches_bruteforce(seq, kind):
     assert steady_progress_alpha(seq, kind=kind) == oracles.brute_alpha(seq, kind)
@@ -337,6 +371,14 @@ def test_alpha_matches_bruteforce(seq, kind):
 def test_alpha_distance_fig(distance_fig):
     assert steady_progress_alpha(distance_fig, (0, 10), pair=("a", "d")) == Fraction(83, 50)
     assert steady_progress_alpha(distance_fig, (0, 10)) is None  # some pair never connects
+
+
+@pytest.mark.parametrize("window", [(5, 7), (-3, -1)])
+def test_alpha_names_a_window_outside_the_trace_as_given(window):
+    seq = seq_of("abc", ["ab"], ["bc"], ["ab"])
+    with pytest.raises(RangeError) as raised:
+        steady_progress_alpha(seq, window)
+    assert str(raised.value) == f"window [{window[0]}, {window[1]}) selects no snapshot"
 
 
 def test_alpha_zero_when_relay_is_immediate():
@@ -560,8 +602,12 @@ def test_separator_zero_when_never_connected():
 
 
 def test_limit_guard(menger_fig):
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError) as raised:
         max_disjoint_journeys(menger_fig, "s", "t", limit_n=3)
+    assert str(raised.value) == (  # the message says how to lift the limit
+        "5 nodes exceed the brute-force limit 3; raise it with limit_n (None removes it)"
+        " or --limit-n on the command line (0 removes it)"
+    )
     with pytest.raises(ContractError):
         min_temporal_separator(menger_fig, "s", "t", limit_n=3)
 
