@@ -10,9 +10,10 @@ snapshot sequences and interval graphs drawn with stdlib ``random`` (mixed
 time denominators, latency in {0, 1/3, 1/2, 1}), and they call
 
 * ``earliest_arrival`` (every table field), ``latest_departure``,
-  ``shortest_journey``, ``fastest_journey``, ``temporal_distance``,
-  ``eccentricity``, ``temporal_diameter_at``, ``foremost_tree_intervals`` and
-  the interval ``sliding_metric``;
+  ``shortest_journey``, ``fastest_journey`` (on interval graphs for every
+  ordered pair, over the lifetime and over a drawn window),
+  ``temporal_distance``, ``eccentricity``, ``temporal_diameter_at``,
+  ``foremost_tree_intervals`` and the interval ``sliding_metric``;
 * ``validate_journey`` on every journey that ``earliest_arrival`` (through
   ``journey_to``, for every node), ``shortest_journey`` and
   ``fastest_journey`` return, and on interval graphs ``supports_hop`` on
@@ -129,14 +130,18 @@ def calls_for(rng: random.Random, g, discrete: bool):
         foremost = partial(J.earliest_arrival, g, u, when(), kind, rng.choice((None, when())))
         latest = partial(J.latest_departure, g, u, v, when(), kind)
         shortest = partial(J.shortest_journey, g, u, v, when(), kind)
-        fastest = partial(J.fastest_journey, g, u, v, rng.choice((None, window())), kind)
+        if discrete:
+            fastest = [partial(J.fastest_journey, g, u, v, rng.choice((None, window())), kind)]
+        else:  # the candidate sweep: every ordered pair, over the lifetime and a drawn window
+            fastest = [partial(J.fastest_journey, g, a, b, w, kind)
+                       for a, b in itertools.permutations(nodes, 2) for w in (None, window())]
         out += [
             ("earliest_arrival", foremost),
             ("latest_departure", latest),
             ("shortest_journey", shortest),
-            ("fastest_journey", fastest),
+            *[("fastest_journey", call) for call in fastest],
             *[("validate_journey", partial(validated, g, call))
-              for call in (foremost, shortest, fastest)],
+              for call in (foremost, shortest, *fastest)],
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, None, kind)),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, window(), kind)),
             ("steady_progress_alpha", partial(J.steady_progress_alpha, g, None, kind, (u, v))),

@@ -20,6 +20,7 @@ be integers; a fraction raises RangeError.  Continuous arrival is t_k + zeta.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -194,7 +195,8 @@ def earliest_arrival(
     return _foremost(g, src, t0, kind, dep_hi)
 
 
-def _foremost(ig, src, t0, kind, dep_hi):
+def _foremost(ig, src, t0, kind, dep_hi, stop=None):
+    """The one earliest-arrival search; it ends once ``stop``, if given, is settled."""
     strict = kind == "strict"
     zeta = ig.latency
     arrival: dict[str, Fraction] = {}
@@ -220,6 +222,8 @@ def _foremost(ig, src, t0, kind, dep_hi):
         arrival[y] = arr
         parent[y] = (px, s)
         hcount[y] = h
+        if y == stop:
+            break  # a popped node's arrival, parent and hop count are final
         relax_from(y, arr, h, False)
     out_arrival = dict(arrival)
     out_arrival[src] = t0
@@ -343,13 +347,16 @@ def fastest_journey(
     the snapshots keeps, per node, the latest first-hop time of any journey
     from u that has reached it (every such journey can wait there), so v's
     best (arrival - departure, departure) is read off as it is reached.
-    Interval graphs score each candidate departure d (a characteristic date
-    or window bound minus k * zeta) as (arrival - d, d) with one
-    earliest-arrival search: a foremost journey from d that leaves later
-    scores worse than d does, and the earliest optimal departure is itself
-    a candidate (an optimal journey slides back until a presence start, an
-    edge's end or a window bound pins it).  The journey itself is rebuilt
-    by one earliest-arrival search from the chosen departure.
+    Interval graphs sweep the candidate departures d (characteristic dates
+    and window bounds minus k * zeta) in order; the earliest optimal
+    departure is one of them (an optimal journey slides back until a
+    presence start, an edge's end or a window bound pins it).  Each d is
+    scored as (arrival - d, d) by one earliest-arrival search that stops
+    once v is settled.  If that journey leaves u at d1 > d, every candidate
+    in (d, d1) arrives when d does and scores worse than d1, so the sweep
+    jumps to d1, itself a presence start.  It stops at the first journey
+    that lasts zeta, the least any journey can take.  The journey itself
+    is rebuilt by one earliest-arrival search from the chosen departure.
     """
     strict = _check_kind(kind)
     _check_node(g, u)
@@ -386,12 +393,18 @@ def fastest_journey(
             if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
                 best = (t - dep[vi], dep[vi])
     else:
-        for d in _shifted_grid(g, wlo, whi):
-            arrival = earliest_arrival(g, u, d, kind, dep_hi=whi).arrival
-            if v not in arrival:
+        grid, i = _shifted_grid(g, wlo, whi), 0
+        while i < len(grid):
+            d = grid[i]
+            table = _foremost(g, u, d, kind, whi, stop=v)
+            if v not in table.arrival:
                 break  # departing even later cannot help
-            if best is None or (arrival[v] - d, d) < best:
-                best = (arrival[v] - d, d)
+            if best is None or (table.arrival[v] - d, d) < best:
+                best = (table.arrival[v] - d, d)
+            if best[0] == g.latency:
+                break  # no journey is faster than one hop, and ties go to the earlier departure
+            # up to the found journey's departure every candidate arrives as d does
+            i = max(i + 1, bisect.bisect_left(grid, table.journey_to(v).departure))
     if best is None:
         return None
     journey = earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)

@@ -552,6 +552,64 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
         assert len(pushes) == 20
 
 
+def count_searches(monkeypatch):
+    """Record the departure of every ``_foremost`` search from here on."""
+    starts = []
+    real = journeys._foremost
+    monkeypatch.setattr(journeys, "_foremost",
+                        lambda ig, src, t0, *rest, **kw: (starts.append(t0),
+                                                          real(ig, src, t0, *rest, **kw))[1])
+    return starts
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_interval_fastest_sweep_stops_at_a_zeta_long_journey(monkeypatch, kind):
+    # a-b is present throughout, so the first candidate, 0, hops at once
+    g = IntervalGraph.build("ab", {("a", "b"): [(0, 10)]}, latency=1)
+    starts = count_searches(monkeypatch)
+    got = fastest_journey(g, "a", "b", kind=kind)
+    assert got.hops == (("a", "b", 0),)
+    assert starts == [0, 0]  # the score and the rebuild; candidates 7..10 are never searched
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_interval_fastest_sweep_skips_dominated_departures(monkeypatch, kind):
+    # a ~> c only by a-b at 5 and b-c from 8: departing at 0..5 arrives at 9
+    g = IntervalGraph.build("abc", {("a", "b"): [(5, 6)], ("b", "c"): [(8, 10)]},
+                            latency=1, span=(0, 10))
+    grid = journeys._shifted_grid(g, 0, 10)
+    starts = count_searches(monkeypatch)
+    got = fastest_journey(g, "a", "c", kind=kind)
+    assert (got.duration, got.departure) == oracles.brute_fastest_intervals(g, "a", kind, 0, 10)["c"]
+    assert got.hops == (("a", "b", 5), ("b", "c", 8))
+    # 0 leaves at 5, so 1..4 are skipped; 6 reaches nothing; then the rebuild from 5
+    assert starts == [0, 5, 6, 5] and len(grid) == 11
+
+
+@settings(deadline=None)
+@given(
+    interval_graphs(latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    QUARTERS,
+    st.none() | QUARTERS,
+)
+def test_foremost_stop_leaves_settled_entries_alone(g, kind, t, dep_hi):
+    lo, hi = g.span
+    t = min(max(t, lo), hi)
+    for u in sorted(g.nodes):
+        full = journeys._foremost(g, u, t, kind, dep_hi)
+        for v in sorted(g.nodes - {u}):
+            part = journeys._foremost(g, u, t, kind, dep_hi, stop=v)
+            # parent keys are in settling order: the search ends right after v
+            order = list(full.parent)
+            assert list(part.parent) == (order[:order.index(v) + 1] if v in order else order)
+            for x in part.parent:
+                assert part.arrival[x] == full.arrival[x]
+                assert part.parent[x] == full.parent[x]
+                assert part.hops[x] == full.hops[x]
+            assert part.journey_to(v) == full.journey_to(v)
+
+
 @pytest.mark.parametrize("kind", ["strict", "nonstrict"])
 @pytest.mark.parametrize("seq, want", [
     (seq_of("abc", ["ab", "bc", "ac"]), 0),  # the first candidate
