@@ -554,11 +554,13 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
 
 def count_searches(monkeypatch):
     """Record the departure of every ``_foremost`` search from here on."""
-    starts = []
-    real = journeys._foremost
-    monkeypatch.setattr(journeys, "_foremost",
-                        lambda ig, src, t0, *rest, **kw: (starts.append(t0),
-                                                          real(ig, src, t0, *rest, **kw))[1])
+    starts, real = [], journeys._foremost
+
+    def counted(ig, src, t0, *rest, **kw):
+        starts.append(t0)
+        return real(ig, src, t0, *rest, **kw)
+
+    monkeypatch.setattr(journeys, "_foremost", counted)
     return starts
 
 
