@@ -22,6 +22,10 @@ time denominators, latency in {0, 1/3, 1/2, 1}), and they call
   ``window``;
 * ``relabel.run`` for every protocol, three runs sharing one rng, and
   ``simforest.run`` with ``checks=True``;
+* on sequences, ``strict_closure`` and ``nonstrict_closure``, and for both
+  kinds ``roundtrip_closure`` (over the whole trace and a drawn window),
+  ``concat_roundtrip`` of two adjacent drawn windows and
+  ``is_roundtrip_connected`` (over the same two spans);
 * on sequences, the window algebra for both kinds: ``hierarchy.extremal``
   and ``hierarchy.decide`` (value and ``ops``) and ``IncrementalDecide``
   (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
@@ -105,6 +109,7 @@ def random_interval_graph(rng: random.Random):
 def calls_for(rng: random.Random, g, discrete: bool):
     """(function name, call) pairs for one graph, arguments drawn up front."""
     from tempnet import classes, relabel, simforest, windows
+    from tempnet import closure as C
     from tempnet import hierarchy as H
     from tempnet import journeys as J
     from tempnet.core import footprint, supports_hop
@@ -154,6 +159,18 @@ def calls_for(rng: random.Random, g, discrete: bool):
             out.append(("foremost_tree_intervals",
                         partial(J.foremost_tree_intervals, g, u, window(), kind)))
     if discrete:
+        out += [("strict_closure", partial(C.strict_closure, g)),
+                ("nonstrict_closure", partial(C.nonstrict_closure, g))]
+        for kind in KINDS:
+            # adjacent windows [a, m) and [m, b); an empty one is an error to compare
+            a, m, b = sorted(rng.randint(0, hi) for _ in range(3))
+            out += [
+                ("roundtrip_closure", partial(C.roundtrip_closure, g, None, kind)),
+                ("roundtrip_closure", partial(C.roundtrip_closure, g, window(), kind)),
+                ("concat_roundtrip", partial(concat_windows, g, a, m, b, kind)),
+                ("is_roundtrip_connected", partial(roundtrip_connected, g, None, kind)),
+                ("is_roundtrip_connected", partial(roundtrip_connected, g, window(), kind)),
+            ]
         for algo in relabel.ALGORITHMS:
             out.append(("relabel.run", partial(relabel_runs, g, algo, rng.randrange(2**32),
                                                emitter=rng.choice(nodes),
@@ -196,6 +213,19 @@ def validated(g, call):
     journeys = ([found.journey_to(v) for v in sorted(g.nodes)]
                 if isinstance(found, ReachabilityTable) else [found])
     return [None if j is None else validate_journey(g, j) for j in journeys]
+
+
+def concat_windows(g, a: int, m: int, b: int, kind: str):
+    """``concat_roundtrip`` of the round-trip closures of [a, m) and [m, b)."""
+    from tempnet.closure import concat_roundtrip, roundtrip_closure
+
+    return concat_roundtrip(roundtrip_closure(g, (a, m), kind), roundtrip_closure(g, (m, b), kind))
+
+
+def roundtrip_connected(g, window, kind: str) -> bool:
+    from tempnet.closure import is_roundtrip_connected, roundtrip_closure
+
+    return is_roundtrip_connected(roundtrip_closure(g, window, kind))
 
 
 def incremental_verdicts(algebra, g, r: int):

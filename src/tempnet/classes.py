@@ -93,9 +93,8 @@ def verify_covering(g: TemporalGraph, cover, mode: str = "temporal") -> bool:
     seq = _as_sequence(g)
 
     def dominates(graph: StaticGraph, chosen: frozenset[str]) -> bool:
-        for x in chosen:
-            if x not in graph.nodes:
-                raise InputError(f"unknown node {x!r} in covering")
+        if unknown := chosen - graph.nodes:
+            raise InputError(f"unknown node {min(unknown)!r} in covering")
         return all(
             v in chosen or graph.adjacency[v] & chosen for v in graph.nodes
         )
@@ -128,9 +127,8 @@ def is_robust_mis(g: StaticGraph, candidate: Iterable[str]) -> bool:
     if not g.is_connected():
         raise InputError("robustness is defined over connected graphs only")
     chosen = frozenset(candidate)
-    for x in chosen:
-        if x not in g.nodes:
-            raise InputError(f"unknown node {x!r} in candidate set")
+    if unknown := chosen - g.nodes:
+        raise InputError(f"unknown node {min(unknown)!r} in candidate set")
     for u, v in g.edges:
         if u in chosen and v in chosen:
             return False  # not independent

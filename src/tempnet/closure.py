@@ -11,7 +11,8 @@ searches in :mod:`tempnet.hierarchy` possible.
 All of it runs on the per-snapshot bitsets of ``core._hop_rows``, one bit per
 node.  A round-trip closure keeps packed reachability matrices by time, and
 composes them with ``core._join_packed``, the product ``hierarchy.tdiameter``
-uses: O(n) big-int operations per row, and O(rows) for a round-trip test.
+uses: one spread of the relay per composition, then at most n big-int products
+per row, and O(rows) for a round-trip test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .core import (
     SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _comb,
-    _hop_matrix, _join_packed, _mask_bits, _node_index, _reach_masks, _tick, edge,
+    _hop_matrix, _join_packed, _mask_bits, _node_index, _reach_masks, _spread, _tick, edge,
 )
 from .errors import ContractError, InputError
 
@@ -134,11 +135,12 @@ def _extend(head: Rows, tail: Rows, n: int) -> Rows:
     if not head:
         return tail
     relay = cur = head[-1][1]
-    out, full = list(head), (1 << n * n) - 1
+    out, full, cols = list(head), (1 << n * n) - 1, None
     for t, new in _deltas(tail, n):
         if cur == full:
             break
-        grown = cur | _join_packed(relay, new, n)
+        cols = cols or _spread(relay, n)  # spread once, at the first row joined
+        grown = cur | _join_packed(relay, new, n, cols)
         if grown != cur:
             out.append((t, grown))
             cur = grown

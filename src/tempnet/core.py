@@ -73,13 +73,21 @@ def _comb(n: int, step: int) -> int:
     return sum(1 << i * step for i in range(n))
 
 
-def _join_packed(x: int, y: int, n: int) -> int:
-    """Boolean product of packed n-node matrices (row i in bits [i*n, (i+1)*n)), x's steps first."""
+def _spread(x: int, n: int) -> list[int]:
+    """Column j of a packed n-node matrix spread over its rows: bit i*n set when x[i][j] is."""
+    ones = _comb(n, n)
+    return [(x >> j) & ones for j in range(n)]
+
+
+def _join_packed(x: int, y: int, n: int, cols: list[int] | None = None) -> int:
+    """Boolean product of packed n-node matrices (row i in bits [i*n, (i+1)*n)), x's steps first.
+
+    x's column j spread over its rows, times y's row j (below 2**n: no overlap, no carry), puts
+    that row in each row of x holding column j.  cols, x's ``_spread``, lets callers spread once."""
     full, ones, out = (1 << n) - 1, _comb(n, n), 0
-    for j in range(n):  # the rows of x holding column j, widened to whole rows, take y's row j
-        row = (y >> j * n) & full
-        if row:
-            out |= ((x >> j) & ones) * full & row * ones
+    for j in range(n):
+        if row := (y >> j * n) & full:
+            out |= (cols[j] if cols else (x >> j) & ones) * row
     return out
 
 

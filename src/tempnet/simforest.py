@@ -8,7 +8,8 @@ tree edge, the orphaned child becomes a tokened root again.
 
 Invariants maintained after every atomic step: the parent pointers form a
 forest (no cycles), every tree edge is present in the current snapshot, and
-the token holders are exactly the roots.
+the token holders are exactly the roots.  ``run(..., checks=True)`` checks
+them whole on each new snapshot and, after each selection, only what it changed.
 """
 
 from __future__ import annotations
@@ -66,6 +67,31 @@ def check_invariants(state: ForestState):
             x = parent[x]
         if x is not None and walk_of[x] == i:
             raise ContractError(f"cycle in parent pointers through {x!r}")
+
+
+def _recheck(state: ForestState, last: Optional[tuple]) -> tuple:
+    """check_invariants, in part within one snapshot: ``last`` holds (t, parent, tokens)
+    copies from when the state last passed, and only a changed token or pointer can
+    break since; a new cycle holds a changed pointer.  Returns the copies to keep."""
+    parent, tokens, snap = state.parent, state.tokens, state.current
+    if last is not None and last[0] == state.t and parent == last[1] and tokens == last[2]:
+        return last
+    if last is None or last[0] != state.t:
+        check_invariants(state)
+        return state.t, dict(parent), set(tokens)
+    moved = {c for c, _ in parent.items() ^ last[1].items()}
+    for v in moved | (tokens ^ last[2]):
+        p = parent.get(v, v)  # a node off the parent map is no root
+        if (v in tokens) != (p is None) or (
+                p is not None and ((v, p) if v < p else (p, v)) not in snap):
+            check_invariants(state)  # raises, with the full check's message
+    for x in moved:  # n steps up from a changed child without meeting a root: a cycle
+        for _ in parent:
+            if (x := parent.get(x)) is None:
+                break
+        else:
+            check_invariants(state)
+    return state.t, dict(parent), set(tokens)
 
 
 def select_edge(
@@ -173,16 +199,16 @@ def run(
     else:
         schedule = _validate_schedule(seq, schedule)
     state = init(seq)
-    series = []
+    series, last = [], None
     for t in range(seq.delta):
         if t > 0:
             advance_snapshot(state)
             if checks:
-                check_invariants(state)
+                last = _recheck(state, last)  # a new snapshot: the full check
         for e in schedule[t]:
             select_edge(state, e, rng=rng, merge_rule=merge_rule)
             if checks:
-                check_invariants(state)
+                last = _recheck(state, last)
         comps = state.sequence.graph_at(t).connected_components()
         per_comp = sorted(len(state.tokens & comp) for comp in comps)
         series.append({

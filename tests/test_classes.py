@@ -122,8 +122,8 @@ def test_verify_covering_modes(covering_fig):
 
 
 def test_verify_covering_input_errors(covering_fig):
-    with pytest.raises(InputError):
-        verify_covering(covering_fig, {"z"}, "temporal")
+    with pytest.raises(InputError, match="^unknown node 'y' in covering$"):
+        verify_covering(covering_fig, {"z", "y", "d"}, "temporal")  # the least unknown node
     with pytest.raises(InputError):
         verify_covering(covering_fig, [{"a"}], "evolving")  # wrong stage count
     with pytest.raises(InputError):

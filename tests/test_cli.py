@@ -282,6 +282,19 @@ def test_robust_mis(capsys, trace_file, bull_trace):
     assert run_json(capsys, "robust-mis", src, "--check", "a", "c") == {"valid": False}
 
 
+def test_robust_mis_names_the_least_unknown_node_under_every_hash_seed(bull_trace):
+    env = os.environ | {"PYTHONPATH": str(Path(tempnet.__file__).parents[1])}
+    stderr = {
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from tempnet.cli import main; sys.exit(main())",
+             "robust-mis", "-", "--check", "v1", "v0"],
+            input=json.dumps(dump_graph(bull_trace)), capture_output=True, text=True,
+            env=env | {"PYTHONHASHSEED": str(seed)}).stderr
+        for seed in range(4)
+    }
+    assert stderr == {"tempnet: error: unknown node 'v0' in candidate set\n"}
+
+
 def test_sim_forest(capsys, trace_file, journey_fig):
     data = run_json(capsys, "sim", "forest", trace_file(journey_fig), "--seed", "5")
     assert [row["t"] for row in data["series"]] == [0, 1, 2, 3]

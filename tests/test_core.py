@@ -27,6 +27,7 @@ from tempnet.core import (
     to_intervals,
     to_snapshots,
 )
+from tempnet.core import _join_packed, _spread
 from tempnet.errors import InputError, RangeError
 
 
@@ -234,3 +235,38 @@ def test_is_connected_matches_networkx(n, data):
     oracle.add_edges_from(edges)
     # networkx leaves the null graph undefined; one node or none counts as connected
     assert StaticGraph.build(names, edges).is_connected() == (n == 0 or nx.is_connected(oracle))
+
+
+@st.composite
+def packed_matrices(draw, n: int):
+    """A packed n-node matrix as a row list: empty, identity, full, one row, or random."""
+    full = (1 << n) - 1
+    shape = draw(st.sampled_from(("empty", "identity", "full", "one row", "random")))
+    if shape == "empty":
+        return [0] * n
+    if shape == "identity":
+        return [1 << i for i in range(n)]
+    if shape == "full":
+        return [full] * n
+    if shape == "one row":
+        rows, i = [0] * n, draw(st.integers(0, n - 1))
+        rows[i] = draw(st.integers(0, full))
+        return rows
+    return draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+
+
+@given(st.data(), st.integers(1, 9))
+def test_join_packed_is_the_boolean_product(data, n):
+    x, y = data.draw(packed_matrices(n)), data.draw(packed_matrices(n))
+
+    def pack(rows):
+        return sum(row << i * n for i, row in enumerate(rows))
+
+    want = pack([
+        sum(1 << k for k in range(n) if any(x[i] >> j & 1 and y[j] >> k & 1 for j in range(n)))
+        for i in range(n)
+    ])
+    assert _join_packed(pack(x), pack(y), n) == want
+    cols = _spread(pack(x), n)
+    assert cols == [sum(1 << i * n for i in range(n) if x[i] >> j & 1) for j in range(n)]
+    assert _join_packed(pack(x), pack(y), n, cols) == want

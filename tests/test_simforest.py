@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import graph_of, seq_of
@@ -216,3 +216,101 @@ def _complaint(check, state):
 def test_cycle_walk_matches_the_per_node_walk(state):
     want = _complaint(oracles.forest_invariants_per_node_walk, state)
     assert _complaint(simforest.check_invariants, state) == want
+
+
+def _repoint(state, data):
+    """Re-point a node at a node it shares no edge with in the current snapshot."""
+    nodes = sorted(state.parent)
+    pairs = [(c, w) for c in nodes for w in nodes
+             if c != w and edge(c, w) not in state.current]
+    if pairs:
+        c, w = data.draw(st.sampled_from(pairs))
+        state.parent[c] = w
+
+
+def _rehang(state, data):
+    """Re-point a node at a neighbour in the current snapshot, tokens untouched."""
+    pairs = [pair for e in state.current for pair in (e, e[::-1])]
+    if pairs:
+        c, w = data.draw(st.sampled_from(sorted(pairs)))
+        state.parent[c] = w
+
+
+def _cycle(size):
+    def corrupt(state, data):
+        """Close a cycle of size nodes; half the time take their tokens too, so that
+        only the tree-edge or the cycle check is left to fail."""
+        ring = data.draw(st.permutations(sorted(state.parent)))[:size]
+        if len(ring) == size:
+            for c, p in zip(ring, ring[1:] + ring[:1]):
+                state.parent[c] = p
+            if data.draw(st.booleans()):
+                state.tokens -= set(ring)
+    return corrupt
+
+
+def _drop_token(state, data):
+    if state.tokens:
+        state.tokens.discard(data.draw(st.sampled_from(sorted(state.tokens))))
+
+
+def _add_token(state, data):
+    others = sorted(set(state.parent) - state.tokens)
+    if others:
+        state.tokens.add(data.draw(st.sampled_from(others)))
+
+
+def _add_key(state, data):
+    """A node the sequence does not have, as a root with or without a token, or a child."""
+    state.parent["zz"] = data.draw(st.sampled_from([None, *sorted(state.parent)]))
+    if data.draw(st.booleans()):
+        state.tokens.add("zz")
+
+
+def _drop_key(state, data):
+    """Remove a root that no node hangs from, with or without its token."""
+    leaves = sorted(state.roots() - set(state.parent.values()))
+    if leaves:
+        v = data.draw(st.sampled_from(leaves))
+        del state.parent[v]
+        if data.draw(st.booleans()):
+            state.tokens.discard(v)
+
+
+CORRUPTIONS = {"none": lambda state, data: None, "repoint": _repoint, "rehang": _rehang,
+               "2-cycle": _cycle(2), "3-cycle": _cycle(3), "drop-token": _drop_token,
+               "add-token": _add_token, "add-key": _add_key, "drop-key": _drop_key}
+
+
+@settings(max_examples=300)  # nine corruptions, each needs its share of draws
+@given(sequences(max_n=5, max_delta=4), st.integers(0, 2**32 - 1), st.data())
+def test_step_check_rejects_what_the_full_check_rejects(seq, seed, data):
+    rng = random.Random(seed)
+    merge_rule = data.draw(st.sampled_from(["min", "random"]))
+    sched = simforest.fair_schedule(seq, rng, extra=1)
+    steps = [(t, e) for t in range(seq.delta) for e in sched[t]]
+    state, last = simforest.init(seq), None
+    for t, e in steps[:data.draw(st.integers(0, len(steps)))]:
+        while state.t < t:
+            simforest.advance_snapshot(state)
+            last = simforest._recheck(state, last)
+        simforest.select_edge(state, e, rng=rng, merge_rule=merge_rule)
+        last = simforest._recheck(state, last)
+    if state.t + 1 < seq.delta and data.draw(st.booleans()):
+        simforest.advance_snapshot(state)  # unchecked: the step check must check it whole
+    CORRUPTIONS[data.draw(st.sampled_from(sorted(CORRUPTIONS)))](state, data)
+    want = _complaint(simforest.check_invariants, state)
+    assert _complaint(lambda s: simforest._recheck(s, last), state) == want
+
+
+def test_step_check_runs_the_full_check_on_a_new_snapshot():
+    state = simforest.init(seq_of("ab", ["ab"], []))
+    simforest.select_edge(state, ("a", "b"))
+    last = simforest._recheck(state, None)
+    assert simforest._recheck(state, last) is last  # nothing changed
+    state.t = 1  # ab is gone, but no orphan regenerated: parent and tokens match last
+    with pytest.raises(ContractError, match="^tree edge 'b'->'a' not in the snapshot$"):
+        simforest._recheck(state, last)
+    state.t = 0
+    simforest.advance_snapshot(state)
+    assert simforest._recheck(state, last)[0] == 1
