@@ -2,12 +2,17 @@
 """Compare the journey kernels and the CLI of this checkout with an earlier commit.
 
     python3 scripts/differential.py --base REV [--cases 300] [--seed 0]
+    python3 scripts/differential.py --hash-seeds 0,1,2,3 [--cases 300] [--seed 0]
 
-Unpacks ``git archive REV src`` into a temporary directory and runs the same
-seeded cases twice, in one subprocess per tree: the base commit's ``src/``
-and this checkout's ``src/``.  Nothing is fetched.  The cases are random
-snapshot sequences and interval graphs drawn with stdlib ``random`` (mixed
-time denominators, latency in {0, 1/3, 1/2, 1}), and they call
+With ``--base``, unpacks ``git archive REV src`` into a temporary directory
+and runs the same seeded cases twice, in one subprocess per tree: the base
+commit's ``src/`` and this checkout's ``src/``, both under PYTHONHASHSEED=0.
+Nothing is fetched.  With ``--hash-seeds``, runs this checkout's ``src/``
+once per listed PYTHONHASHSEED and compares every later run with the first,
+which shows results that depend on the order in which sets iterate.  The
+cases are random snapshot sequences and interval graphs drawn with stdlib
+``random`` (mixed time denominators, latency in {0, 1/3, 1/2, 1}), and they
+call
 
 * ``earliest_arrival`` (every table field), ``latest_departure``,
   ``shortest_journey``, ``fastest_journey`` (on interval graphs for every
@@ -43,7 +48,9 @@ error by its type and message; each CLI call by its exit code, stdout,
 stderr and the ``--out`` file.  Prints the number of calls and differences
 per function or verb, then the differences grouped by function, base
 outcome and new outcome (a value, an error's type, or a CLI exit code): a
-count per group and its first few examples.  Exits 1 when any case differs.
+count per group and its first few examples.  Under ``--hash-seeds`` the
+first seed's run is the base, and the counts add up over the later runs.
+Exits 1 when any case differs.
 """
 
 from __future__ import annotations
@@ -412,11 +419,13 @@ def outcome_kind(result: list) -> str:
     return result[0]
 
 
-def run_tree(src: Path, args) -> list:
+def run_tree(src: Path, args, hash_seed: int = 0) -> list:
     cmd = [sys.executable, "-s", str(Path(__file__).resolve()), "--worker", str(src),
            "--cases", str(args.cases), "--seed", str(args.seed)]
-    # one hash seed for both runs, so dicts built from node sets list them alike
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONHASHSEED": "0"}
+    # --base runs both trees under one hash seed, so dicts built from node
+    # sets list them alike
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {
+        "PYTHONHASHSEED": str(hash_seed)}
     # the CLI cases write their traces to the working directory, the same
     # relative names in both runs
     with tempfile.TemporaryDirectory() as cwd:
@@ -426,10 +435,47 @@ def run_tree(src: Path, args) -> list:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
+def report(title: str, runs: list[tuple[str, list]]) -> int:
+    """Compare every run with the first; print the counts and the grouped differences."""
+    (first, base), *rest = runs
+    counts: dict[str, list[int]] = {}
+    groups: dict[tuple[str, str, str], list] = {}
+    for label, head in rest:
+        if [r[:2] for r in base] != [r[:2] for r in head]:
+            sys.exit(f"differential: the {first} and {label} runs made different calls")
+        for (name, where, want), (_, _, got) in zip(base, head):
+            tally = counts.setdefault(name, [0, 0])
+            tally[0] += 1
+            if want != got:
+                tally[1] += 1
+                key = (name, outcome_kind(want), outcome_kind(got))
+                groups.setdefault(key, []).append((label, where, want, got))
+    print(title)
+    for name, (n, d) in sorted(counts.items()):
+        print(f"  {name:26} {n:6} calls {d:6} differences")
+    total = sum(d for _, d in counts.values())
+    print(f"  {'total':26} {sum(n for n, _ in counts.values()):6} calls {total:6} differences")
+    for (name, was, now), found in sorted(groups.items()):
+        print(f"\n{name}: {was} -> {now}: {len(found)} differences")
+        for label, where, want, got in found[:EXAMPLES]:
+            print(f"  {where}:")
+            print(f"    {first}: {json.dumps(want)[:400]}\n    {label}: {json.dumps(got)[:400]}")
+    return 1 if groups else 0
+
+
+def hash_seed_list(text: str) -> list[int]:
+    seeds = [int(x) for x in text.split(",")]
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError("give at least two hash seeds, such as 0,1")
+    return seeds
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="commit to compare with (anything git rev-parse takes)")
+    ap.add_argument("--hash-seeds", type=hash_seed_list, metavar="S,S,...",
+                    help="compare runs of this checkout under these PYTHONHASHSEED values")
     ap.add_argument("--cases", type=int, default=300, help="random graphs, half of each model")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--worker", help=argparse.SUPPRESS)
@@ -437,8 +483,12 @@ def main() -> int:
     if args.worker:
         worker(args.worker, args.cases, args.seed)
         return 0
-    if not args.base:
-        ap.error("--base is required")
+    if bool(args.base) == bool(args.hash_seeds):
+        ap.error("give one of --base and --hash-seeds")
+    if args.hash_seeds:
+        runs = [(f"hash seed {h}", run_tree(ROOT / "src", args, h)) for h in args.hash_seeds]
+        return report(f"this checkout under hash seeds {','.join(map(str, args.hash_seeds))}, "
+                      f"{args.cases} graphs, seed {args.seed}", runs)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.base, "src"],
                              capture_output=True)
     if archive.returncode != 0:
@@ -448,28 +498,8 @@ def main() -> int:
             tar.extractall(tmp)
         base = run_tree(Path(tmp) / "src", args)
     head = run_tree(ROOT / "src", args)
-    if [r[:2] for r in base] != [r[:2] for r in head]:
-        sys.exit("differential: the two runs made different calls")
-    counts: dict[str, list[int]] = {}
-    groups: dict[tuple[str, str, str], list] = {}
-    for (name, where, want), (_, _, got) in zip(base, head):
-        tally = counts.setdefault(name, [0, 0])
-        tally[0] += 1
-        if want != got:
-            tally[1] += 1
-            key = (name, outcome_kind(want), outcome_kind(got))
-            groups.setdefault(key, []).append((where, want, got))
-    print(f"base {args.base} vs this checkout, {args.cases} graphs, seed {args.seed}")
-    for name, (n, d) in sorted(counts.items()):
-        print(f"  {name:26} {n:6} calls {d:6} differences")
-    total = sum(d for _, d in counts.values())
-    print(f"  {'total':26} {len(base):6} calls {total:6} differences")
-    for (name, was, now), found in sorted(groups.items()):
-        print(f"\n{name}: {was} -> {now}: {len(found)} differences")
-        for where, want, got in found[:EXAMPLES]:
-            print(f"  {where}:")
-            print(f"    base: {json.dumps(want)[:400]}\n    here: {json.dumps(got)[:400]}")
-    return 1 if groups else 0
+    return report(f"base {args.base} vs this checkout, {args.cases} graphs, seed {args.seed}",
+                  [("base", base), ("here", head)])
 
 
 if __name__ == "__main__":

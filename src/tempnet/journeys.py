@@ -44,6 +44,7 @@ from .core import (
     as_time,
     characteristic_dates,
     edge,
+    footprint,
     lifetime,
     supports_hop,
     temporal_subgraph,
@@ -231,7 +232,8 @@ def _foremost(ig, src, t0, kind, dep_hi, stop=None):
 
 
 def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> dict[str, Time]:
-    """arrival - t for journeys leaving just after t (discrete: departures >= t+1)."""
+    """arrival - t for journeys leaving just after t (discrete: departures >= t+1),
+    keyed in sorted node order whatever the hash seed."""
     _check_node(g, u)
     if isinstance(g, SnapshotSequence):
         t = _tick(t, "time")
@@ -241,7 +243,7 @@ def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -
     else:
         table = earliest_arrival(g, u, t, kind)
     dist: dict[str, Time] = {}
-    for v in g.nodes:
+    for v in sorted(g.nodes):
         if v == u:
             dist[v] = 0
         elif v in table.arrival:
@@ -273,9 +275,10 @@ def latest_departure(
 
     Latest departure is earliest arrival in reversed time: the foremost
     journey v ~> u from -t on the graph's ``_reversed`` view arrives at -d
-    for the latest departure d.  A snapshot sequence runs on its integer
-    ticks (t must be an integer), where arriving by snapshot t is arriving
-    by tick t + 1 and departures are the same.
+    for the latest departure d, and that search ends once u is settled.  A
+    snapshot sequence runs on its integer ticks (t must be an integer), where
+    arriving by snapshot t is arriving by tick t + 1 and departures are the
+    same.
     """
     _check_kind(kind)
     _check_node(g, u)
@@ -286,7 +289,7 @@ def latest_departure(
         return t
     if discrete:
         g, t = g._ticks, t + 1
-    arrival = _foremost(g._reversed, v, -t, kind, None).arrival
+    arrival = _foremost(g._reversed, v, -t, kind, None, stop=u).arrival
     return -arrival[u] if u in arrival else None
 
 
@@ -355,8 +358,10 @@ def fastest_journey(
     once v is settled.  If that journey leaves u at d1 > d, every candidate
     in (d, d1) arrives when d does and scores worse than d1, so the sweep
     jumps to d1, itself a presence start.  It stops at the first journey
-    that lasts zeta, the least any journey can take.  The journey itself
-    is rebuilt by one earliest-arrival search from the chosen departure.
+    that lasts as little as any journey can: zeta times the hop distance
+    from u to v in the footprint when strict (each hop leaves once the last
+    has arrived), zeta when non-strict.  The journey itself is rebuilt by
+    one earliest-arrival search from the chosen departure.
     """
     strict = _check_kind(kind)
     _check_node(g, u)
@@ -394,6 +399,8 @@ def fastest_journey(
                 best = (t - dep[vi], dep[vi])
     else:
         grid, i = _shifted_grid(g, wlo, whi), 0
+        # a strict journey takes zeta per hop; a non-strict one may take zeta in all
+        floor = g.latency * (_footprint_hops(g, u, v) if strict else 1)
         while i < len(grid):
             d = grid[i]
             table = _foremost(g, u, d, kind, whi, stop=v)
@@ -401,8 +408,8 @@ def fastest_journey(
                 break  # departing even later cannot help
             if best is None or (table.arrival[v] - d, d) < best:
                 best = (table.arrival[v] - d, d)
-            if best[0] == g.latency:
-                break  # no journey is faster than one hop, and ties go to the earlier departure
+            if best[0] == floor:
+                break  # no journey is faster, and ties go to the earlier departure
             # up to the found journey's departure every candidate arrives as d does
             i = max(i + 1, bisect.bisect_left(grid, table.journey_to(v).departure))
     if best is None:
@@ -412,16 +419,30 @@ def fastest_journey(
     return journey
 
 
+def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
+    """Hop distance from u to v in the footprint (moot when v is out of reach)."""
+    adj, seen, frontier, hops = footprint(g).adjacency, {u}, {u}, 0
+    while frontier and v not in frontier:
+        frontier = {y for x in frontier for y in adj[x]} - seen
+        seen |= frontier
+        hops += 1
+    return hops
+
+
 def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> list[Fraction]:
     """Characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside [lo, hi]:
-    the fastest sweep's candidate departures and the foremost-tree segment ends."""
-    zeta, n = g.latency, len(g.nodes)
-    return sorted({
-        d - k * zeta
-        for d in (*characteristic_dates(g), lo, hi)
-        for k in range(n + 2)
-        if lo <= d - k * zeta <= hi
-    })
+    the fastest sweep's candidate departures and the foremost-tree segment ends.
+
+    Computed on integers, since Fraction arithmetic is the slow part: every
+    time is scaled by D, the lcm of the denominators of the dates, lo, hi and
+    zeta, and the sorted survivors map back as Fraction(x, D)."""
+    times = (*characteristic_dates(g), lo, hi, g.latency)
+    scale = math.lcm(*(t.denominator for t in times))
+    *dates, z = (t.numerator * (scale // t.denominator) for t in times)
+    ilo, ihi, n = dates[-2], dates[-1], len(g.nodes)
+    return [Fraction(x, scale) for x in sorted({
+        d - k * z for d in dates for k in range(n + 2) if ilo <= d - k * z <= ihi
+    })]
 
 
 def foremost_tree_intervals(

@@ -442,6 +442,20 @@ def _endpoints(ig):
     return sorted({x for ivs in ig.edges.values() for run in ivs for x in run}) or [Fraction(0)]
 
 
+def shifted_grid(ig, lo, hi):
+    """Sorted presence endpoints and lo, hi, each minus k * zeta for
+    k <= n + 1, kept inside [lo, hi]: the fastest sweep's candidates as a
+    plain set of Fraction differences."""
+    zeta, n = ig.latency, len(ig.nodes)
+    dates = {x for ivs in ig.edges.values() for run in ivs for x in run}
+    return sorted({
+        d - k * zeta
+        for d in (*dates, lo, hi)
+        for k in range(n + 2)
+        if lo <= d - k * zeta <= hi
+    })
+
+
 def grid_first_hops(ig, src, kind, wlo, whi, *times):
     """(node, hop time) -> latest first-hop time over walks from src whose
     first hop leaves in [wlo, whi] and whose last hop, into node, leaves at

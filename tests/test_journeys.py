@@ -552,13 +552,17 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
         assert len(pushes) == 20
 
 
-def count_searches(monkeypatch):
-    """Record the departure of every ``_foremost`` search from here on."""
+def count_searches(monkeypatch, tables=None):
+    """Record the departure of every ``_foremost`` search from here on, and
+    each search's ``stop`` and table into ``tables`` when it is given."""
     starts, real = [], journeys._foremost
 
     def counted(ig, src, t0, *rest, **kw):
         starts.append(t0)
-        return real(ig, src, t0, *rest, **kw)
+        table = real(ig, src, t0, *rest, **kw)
+        if tables is not None:
+            tables.append((kw.get("stop"), table))
+        return table
 
     monkeypatch.setattr(journeys, "_foremost", counted)
     return starts
@@ -572,6 +576,33 @@ def test_interval_fastest_sweep_stops_at_a_zeta_long_journey(monkeypatch, kind):
     got = fastest_journey(g, "a", "b", kind=kind)
     assert got.hops == (("a", "b", 0),)
     assert starts == [0, 0]  # the score and the rebuild; candidates 7..10 are never searched
+
+
+def test_interval_fastest_sweep_stops_at_zeta_per_footprint_hop(monkeypatch):
+    # a-b and b-c are present throughout: departing at 0 arrives at c at 2
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 10)], ("b", "c"): [(0, 10)]}, latency=1)
+    starts = count_searches(monkeypatch)
+    got = fastest_journey(g, "a", "c", kind="strict")
+    assert got.hops == (("a", "b", 0), ("b", "c", 1))
+    # two footprint hops make 2 the least a strict journey takes, so 6..9 are never searched
+    assert starts == [0, 0]
+    starts.clear()
+    # a non-strict journey takes both hops at 0 and lasts zeta
+    got = fastest_journey(g, "a", "c", kind="nonstrict")
+    assert got.hops == (("a", "b", 0), ("b", "c", 0))
+    assert starts == [0, 0]
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_latest_departure_search_ends_once_u_is_settled(monkeypatch, kind):
+    # reversed from b at -10, a settles at -9 and c, left by 4 at the latest, at -4
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 10)], ("b", "c"): [(0, 5)]}, latency=1)
+    tables = []
+    count_searches(monkeypatch, tables)
+    assert latest_departure(g, "a", "b", 10, kind) == 9
+    [(stop, table)] = tables
+    assert stop == "a"
+    assert list(table.parent) == ["a"]  # c is never settled
 
 
 @pytest.mark.parametrize("kind", ["strict", "nonstrict"])
@@ -723,3 +754,40 @@ def test_disjoint_and_separator_match_bruteforce(seq, kind):
                 if all(not a & b for a, b in itertools.combinations(family, 2))
             )
         assert max_disjoint_journeys(seq, s, t, kind) == disjoint
+
+
+@st.composite
+def thirds_and_quarters(draw):
+    """An interval graph whose runs end on 1/3 or 1/4 steps, one step per edge."""
+    g = draw(interval_graphs(latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))))
+    edges = {}
+    for e, ivs in sorted(g.edges.items()):
+        step = draw(st.sampled_from((3, 4)))
+        edges[e] = [(Fraction(a, step), Fraction(b, step)) for a, b in ivs]
+    return IntervalGraph.build(g.nodes, edges, latency=g.latency, span=(0, 3))
+
+
+@settings(deadline=None)
+@given(thirds_and_quarters(), st.lists(st.integers(0, 15).map(lambda k: Fraction(k, 5)),
+                                       min_size=2, max_size=2).map(sorted))
+def test_shifted_grid_on_integers_matches_fraction_oracle(g, window):
+    # fifths are off the thirds-and-quarters grid of the runs
+    lo, hi = window
+    got = journeys._shifted_grid(g, lo, hi)
+    assert got == oracles.shifted_grid(g, lo, hi)
+    assert all(type(x) is Fraction for x in got)
+    assert all(a < b for a, b in zip(got, got[1:]))  # sorted and distinct
+
+
+def test_temporal_distance_keys_come_in_sorted_order_whatever_the_hash_seed():
+    code = (
+        "from tempnet.core import IntervalGraph\n"
+        "from tempnet.journeys import temporal_distance\n"
+        "g = IntervalGraph.build('gfedcba', {('a', 'g'): [(0, 2)], ('c', 'd'): [(0, 2)]})\n"
+        "print(list(temporal_distance(g, 'a', 0)))\n"
+    )
+    env = os.environ | {"PYTHONPATH": str(Path(journeys.__file__).parents[1])}
+    keys = [subprocess.run([sys.executable, "-c", code], env=env | {"PYTHONHASHSEED": str(seed)},
+                           capture_output=True, text=True, check=True).stdout
+            for seed in (0, 1)]
+    assert keys == [str(list("abcdefg")) + "\n"] * 2
