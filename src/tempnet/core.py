@@ -15,13 +15,17 @@ edges are undirected and self-loops are rejected.
 A sequence is also an interval graph on integer ticks: snapshot i is
 presence over [i, i+1) with latency 1.  Its cached ``_ticks`` view holds
 that graph with plain ``int`` times; the journey kernels run on it, and
-:func:`to_intervals` returns it with exact ``Fraction`` times.
+:func:`to_intervals` returns it with exact ``Fraction`` times.  An interval
+graph caches a like integer view, ``_scaled``: every time times D, twice the
+lcm of its denominators.  The fastest-journey and foremost-tree sweeps run on
+it; the other interval kernels still compute on ``Fraction`` times.
 
 All types are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -394,6 +398,25 @@ class IntervalGraph:
         span = None if self.span is None else (-self.span[1], -self.span[0])
         return IntervalGraph(self.nodes, edges, self.latency, span)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, "IntervalGraph", tuple[int, ...]]:
+        """The integer view: (D, the graph with every time times D, its dates).  D is
+        twice the lcm of every endpoint's, the span's and the latency's denominator,
+        so every time is an even tick and a midpoint of two of them is a tick too."""
+        times = (*(x for ivs in self.edges.values() for iv in ivs for x in iv), *(self.span or ()))
+        scale = 2 * math.lcm(self.latency.denominator, *(t.denominator for t in times))
+        view = self._at_scale(scale)
+        return scale, view, characteristic_dates(view)
+
+    def _at_scale(self, scale: int) -> "IntervalGraph":
+        """Every time t as the int t * scale, read off its numerator with no Fraction
+        arithmetic; scale must be a multiple of every denominator."""
+        def tick(t):
+            return t.numerator * (scale // t.denominator)
+        edges = {e: tuple((tick(a), tick(b)) for a, b in ivs) for e, ivs in self.edges.items()}
+        span = None if self.span is None else (tick(self.span[0]), tick(self.span[1]))
+        return IntervalGraph(self.nodes, edges, tick(self.latency), span)
+
 
 TemporalGraph = Union[SnapshotSequence, IntervalGraph]
 
@@ -404,21 +427,14 @@ def lifetime(g: TemporalGraph) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(g.delta)
     if g.span is not None:
         return g.span
-    starts = [ivs[0][0] for ivs in g.edges.values()]
-    ends = [ivs[-1][1] for ivs in g.edges.values()]
-    if not starts:
+    if not g.edges:
         return Fraction(0), Fraction(0)
-    return min(starts), max(ends)
+    return min(ivs[0][0] for ivs in g.edges.values()), max(ivs[-1][1] for ivs in g.edges.values())
 
 
 def characteristic_dates(g: IntervalGraph) -> tuple[Fraction, ...]:
     """Sorted times at which some edge appears or disappears."""
-    dates: set[Fraction] = set()
-    for ivs in g.edges.values():
-        for a, b in ivs:
-            dates.add(a)
-            dates.add(b)
-    return tuple(sorted(dates))
+    return tuple(sorted({x for ivs in g.edges.values() for iv in ivs for x in iv}))
 
 
 def _first_hop(ivs: Intervals, lb: Time, zeta: Time) -> Time | None:

@@ -9,6 +9,8 @@ latest departures (temporal views), the steady-progress parameter, and the
 desk-scale disjoint-journey and separator brute forces.  Each journey
 metric and the steady-progress search has one kernel, written for interval
 graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).
+The fastest and foremost-tree sweeps of an interval graph search on its
+integer view (``_scaled``) and map results back to ``Fraction`` at the end.
 Latest departure is earliest arrival on the time-reversed ``_reversed`` view.
 
 Discrete time conventions: arrival of a journey is the index of its last hop
@@ -93,9 +95,7 @@ class Journey:
         """Largest idle time at an intermediate node (0 for <= 1 hop)."""
         if len(self.hops) <= 1:
             return 0
-        hop_cost = self.latency
-        if hop_cost is None:
-            hop_cost = 1 if self.kind == "strict" else 0
+        hop_cost = int(self.kind == "strict") if self.latency is None else self.latency
         waits = [
             self.hops[i + 1][2] - self.hops[i][2] - hop_cost
             for i in range(len(self.hops) - 1)
@@ -118,12 +118,9 @@ def validate_journey(g: TemporalGraph, j: Journey) -> bool:
             return False  # not a walk
     if discrete and any(as_time(t).denominator != 1 for _, _, t in j.hops):
         return False  # on ticks, a hop at 1/2 would fit inside a run
-    times = []
-    for u, v, t in j.hops:
-        t = as_time(t)
-        if not supports_hop(ig, edge(u, v), t):
-            return False
-        times.append(t)
+    if not all(supports_hop(ig, edge(u, v), t) for u, v, t in j.hops):
+        return False
+    times = [as_time(t) for _, _, t in j.hops]
     sep = ig.latency if strict else 0
     return all(t2 - t1 >= sep for t1, t2 in zip(times, times[1:]))
 
@@ -176,24 +173,30 @@ def earliest_arrival(
     """
     _check_kind(kind)
     _check_node(g, src)
-    if isinstance(g, SnapshotSequence):
-        t0 = _tick(t0, "start time")
-        if not 0 <= t0 <= g.delta:
-            raise RangeError(f"start time {t0} outside 0..{g.delta}")
-        if dep_hi is not None:
-            dep_hi = _tick(dep_hi, "departure bound")
+    t0 = _start_time(g, t0)
+    discrete = isinstance(g, SnapshotSequence)
+    if dep_hi is not None:
+        dep_hi = _tick(dep_hi, "departure bound") if discrete else as_time(dep_hi)
+    if discrete:
         table = _foremost(g._ticks, src, t0, kind, dep_hi)
         # an arrival by tick t + 1 is an arrival by snapshot t
         arrival = {v: t - 1 for v, t in table.arrival.items()}
         arrival[src] = t0
         return replace(table, latency=None, arrival=arrival)
-    t0 = as_time(t0)
-    lo, hi = lifetime(g)
+    return _foremost(g, src, t0, kind, dep_hi)
+
+
+def _start_time(g: TemporalGraph, t0: Time) -> Time:
+    """A search's start time: an integer in 0..delta on a sequence, inside the lifetime otherwise."""
+    if isinstance(g, SnapshotSequence):
+        t0 = _tick(t0, "start time")
+        if not 0 <= t0 <= g.delta:
+            raise RangeError(f"start time {t0} outside 0..{g.delta}")
+        return t0
+    t0, (lo, hi) = as_time(t0), lifetime(g)
     if not lo <= t0 <= hi:
         raise RangeError(f"start time {t0} outside lifetime [{lo}, {hi}]")
-    if dep_hi is not None:
-        dep_hi = as_time(dep_hi)
-    return _foremost(g, src, t0, kind, dep_hi)
+    return t0
 
 
 def _foremost(ig, src, t0, kind, dep_hi, stop=None):
@@ -296,14 +299,12 @@ def latest_departure(
 def shortest_journey(
     g: TemporalGraph, u: str, v: str, t0: Time, kind: str = "strict"
 ) -> Optional[Journey]:
-    """Fewest-hops journey departing at or after t0."""
+    """Fewest-hops journey departing at or after t0, a start checked as in earliest_arrival."""
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
-    if isinstance(g, SnapshotSequence):
-        latency, t0, g = None, _tick(t0, "start time"), g._ticks
-    else:
-        latency, t0 = g.latency, as_time(t0)
+    t0 = _start_time(g, t0)
+    latency, g = (None, g._ticks) if isinstance(g, SnapshotSequence) else (g.latency, g)
     if u == v:
         return Journey((), kind, latency)
     zeta = g.latency
@@ -346,34 +347,37 @@ def fastest_journey(
 ) -> Optional[Journey]:
     """Smallest-duration journey departing within [window_lo, window_hi].
 
-    Ties go to the earlier departure.  On a snapshot sequence one scan over
-    the snapshots keeps, per node, the latest first-hop time of any journey
-    from u that has reached it (every such journey can wait there), so v's
-    best (arrival - departure, departure) is read off as it is reached.
-    Interval graphs sweep the candidate departures d (characteristic dates
-    and window bounds minus k * zeta) in order; the earliest optimal
-    departure is one of them (an optimal journey slides back until a
-    presence start, an edge's end or a window bound pins it).  Each d is
-    scored as (arrival - d, d) by one earliest-arrival search that stops
-    once v is settled.  If that journey leaves u at d1 > d, every candidate
-    in (d, d1) arrives when d does and scores worse than d1, so the sweep
-    jumps to d1, itself a presence start.  It stops at the first journey
-    that lasts as little as any journey can: zeta times the hop distance
-    from u to v in the footprint when strict (each hop leaves once the last
-    has arrived), zeta when non-strict.  The journey itself is rebuilt by
-    one earliest-arrival search from the chosen departure.
+    The window is clipped to the lifetime (0..delta-1 on a sequence); one
+    that is inverted or misses it raises RangeError.  Ties go to the earlier
+    departure.  On a snapshot sequence one scan over the snapshots keeps,
+    per node, the latest first-hop time of any journey from u that has
+    reached it (every such journey can wait there), so v's best (arrival -
+    departure, departure) is read off as it is reached.  Interval graphs
+    sweep the candidate departures d (characteristic dates and window
+    bounds minus k * zeta) in order, on ``_shifted_grid``'s integer view;
+    the earliest optimal departure is one of them (an optimal journey
+    slides back until a presence start, an edge's end or a window bound
+    pins it).  Each d is scored as (arrival - d, d) by one earliest-arrival
+    search that stops once v is settled.  If that journey leaves u at
+    d1 > d, every candidate in (d, d1) arrives when d does and scores worse
+    than d1, so the sweep jumps to d1, itself a presence start.  It stops at
+    the first journey that lasts as little as any journey can: zeta times
+    the hop distance from u to v in the footprint when strict (each hop
+    leaves once the last has arrived), zeta when non-strict.  One more
+    earliest-arrival search from the chosen departure rebuilds the journey,
+    whose hop times then map back to graph time.
     """
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     discrete = isinstance(g, SnapshotSequence)
-    if discrete:
-        wlo, whi = (0, g.delta - 1) if window is None else window
-        wlo, whi = max(_tick(wlo, "window bound"), 0), min(_tick(whi, "window bound"), g.delta - 1)
-    else:
-        lo, hi = lifetime(g)
-        wlo, whi = (lo, hi) if window is None else window
-        wlo, whi = max(as_time(wlo), lo), min(as_time(whi), hi)
+    lo, hi = (0, g.delta - 1) if discrete else lifetime(g)
+    wlo, whi = (lo, hi) if window is None else (
+        [_tick(t, "window bound") for t in window] if discrete else map(as_time, window))
+    if not max(wlo, lo) <= min(whi, hi):
+        raise RangeError(f"window [{wlo}, {whi}] holds no departure time in " +
+                         (f"0..{hi}" if discrete else f"lifetime [{lo}, {hi}]"))
+    wlo, whi = max(wlo, lo), min(whi, hi)
     if u == v:
         return Journey((), kind, None if discrete else g.latency)
     best: Optional[tuple[Time, Time]] = None  # (duration, departure)
@@ -397,13 +401,13 @@ def fastest_journey(
                             dep[i] = top
             if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
                 best = (t - dep[vi], dep[vi])
-    else:
-        grid, i = _shifted_grid(g, wlo, whi), 0
+    else:  # on ticks of 1/scale, where whi is the last candidate
+        (scale, ig, grid), i = _shifted_grid(g, wlo, whi), 0
         # a strict journey takes zeta per hop; a non-strict one may take zeta in all
-        floor = g.latency * (_footprint_hops(g, u, v) if strict else 1)
+        floor = ig.latency * (_footprint_hops(g, u, v) if strict else 1)
         while i < len(grid):
             d = grid[i]
-            table = _foremost(g, u, d, kind, whi, stop=v)
+            table = _foremost(ig, u, d, kind, grid[-1], stop=v)
             if v not in table.arrival:
                 break  # departing even later cannot help
             if best is None or (table.arrival[v] - d, d) < best:
@@ -414,9 +418,11 @@ def fastest_journey(
             i = max(i + 1, bisect.bisect_left(grid, table.journey_to(v).departure))
     if best is None:
         return None
-    journey = earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)
-    assert journey is not None and journey.departure == best[1]
-    return journey
+    if discrete:
+        return earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)
+    hops = _foremost(ig, u, best[1], kind, grid[-1]).journey_to(v).hops
+    assert hops[0][2] == best[1]
+    return Journey(tuple((x, y, Fraction(s, scale)) for x, y, s in hops), kind, g.latency)
 
 
 def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
@@ -429,20 +435,22 @@ def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
     return hops
 
 
-def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> list[Fraction]:
-    """Characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside [lo, hi]:
-    the fastest sweep's candidate departures and the foremost-tree segment ends.
+def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> tuple[int, IntervalGraph, list[int]]:
+    """(scale, view, grid): the interval sweeps' integer view and candidates, where grid
+    holds the characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside
+    [lo, hi]: the fastest sweep's departures and the foremost-tree segment ends.
 
-    Computed on integers, since Fraction arithmetic is the slow part: every
-    time is scaled by D, the lcm of the denominators of the dates, lo, hi and
-    zeta, and the sorted survivors map back as Fraction(x, D)."""
-    times = (*characteristic_dates(g), lo, hi, g.latency)
-    scale = math.lcm(*(t.denominator for t in times))
-    *dates, z = (t.numerator * (scale // t.denominator) for t in times)
-    ilo, ihi, n = dates[-2], dates[-1], len(g.nodes)
-    return [Fraction(x, scale) for x in sorted({
-        d - k * z for d in dates for k in range(n + 2) if ilo <= d - k * z <= ihi
-    })]
+    Times are ticks of 1/scale, since Fraction arithmetic is the slow part: the cached
+    ``_scaled`` view with D ticks per unit, or, for a bound whose denominator q does not
+    divide D/2, one rescaled to lcm(D, 2q), so every tick stays even."""
+    scale, view, dates = g._scaled
+    wide = math.lcm(scale, 2 * lo.denominator, 2 * hi.denominator)
+    if wide != scale:
+        view, dates = g._at_scale(wide), [d * (wide // scale) for d in dates]
+    ilo, ihi = (t.numerator * (wide // t.denominator) for t in (lo, hi))
+    z, n = view.latency, len(g.nodes)
+    return wide, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
+                               if ilo <= d - k * z <= ihi})
 
 
 def foremost_tree_intervals(
@@ -457,7 +465,8 @@ def foremost_tree_intervals(
     the midpoint of every elementary segment of the zeta-shifted characteristic
     grid, and equal adjacent segments are merged.  Boundary instants are never
     sampled, so the reported half-open intervals are exact on that grid.
-    The window must lie inside the lifetime.
+    Searches run on ``_shifted_grid``'s integer view; the window must lie
+    inside the lifetime.
     """
     _check_node(g, src)
     wlo, whi = as_time(window[0]), as_time(window[1])
@@ -466,17 +475,17 @@ def foremost_tree_intervals(
     lo, hi = lifetime(g)
     if not lo <= wlo < whi <= hi:
         raise RangeError(f"window [{wlo}, {whi}) outside lifetime [{lo}, {hi}]")
-    grid = _shifted_grid(g, wlo, whi)
-    out: list[tuple[tuple[Fraction, Fraction], dict[str, str]]] = []
+    _check_kind(kind)
+    scale, view, grid = _shifted_grid(g, wlo, whi)
+    out: list[tuple[tuple[int, int], dict[str, str]]] = []
     for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        table = earliest_arrival(g, src, mid, kind)
+        table = _foremost(view, src, (a + b) // 2, kind, None)  # every tick is even
         shape = {child: p for child, (p, _) in table.parent.items() if child != src}
-        if out and out[-1][1] == shape and out[-1][0][1] == a:
+        if out and out[-1][1] == shape:
             out[-1] = ((out[-1][0][0], b), shape)
         else:
             out.append(((a, b), shape))
-    return out
+    return [((Fraction(a, scale), Fraction(b, scale)), shape) for (a, b), shape in out]
 
 
 def steady_progress_alpha(

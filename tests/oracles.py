@@ -11,7 +11,8 @@ cross-checks the fixpoint on tiny traces.  Library results are compared against 
 instances; nothing in this module shares code with the package
 (`SnapshotSequence` and `IntervalGraph` serve only as containers), except
 `loop_decide`, which drives the package's counting queue so that its
-operation counts compare.
+operation counts compare, and `foremost_tree`, which samples the package's
+`Fraction`-time `earliest_arrival` to check the integer-view regime sweep.
 """
 
 from __future__ import annotations
@@ -454,6 +455,25 @@ def shifted_grid(ig, lo, hi):
         for k in range(n + 2)
         if lo <= d - k * zeta <= hi
     })
+
+
+def foremost_tree(ig, src, kind, lo, hi):
+    """The foremost-tree regimes of [lo, hi) by sampling: the library's
+    ``earliest_arrival`` (which computes on Fraction times) at the midpoint
+    of each segment of ``shifted_grid``, its parent map with src left out,
+    and equal neighbouring segments merged."""
+    from tempnet.journeys import earliest_arrival
+
+    out = []
+    grid = shifted_grid(ig, lo, hi)
+    for a, b in zip(grid, grid[1:]):
+        table = earliest_arrival(ig, src, (a + b) / 2, kind)
+        shape = {child: p for child, (p, _) in table.parent.items() if child != src}
+        if out and out[-1][1] == shape:
+            out[-1] = ((out[-1][0][0], b), shape)
+        else:
+            out.append(((a, b), shape))
+    return out
 
 
 def grid_first_hops(ig, src, kind, wlo, whi, *times):

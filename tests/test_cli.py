@@ -587,3 +587,67 @@ def test_main_builds_the_parser_once(capsys, monkeypatch, trace_file, journey_fi
         assert main(argv) == 0
     capsys.readouterr()
     assert per_build > 1 and len(made) == per_build
+
+
+RUN_VERBS = """
+import contextlib, io, json, sys
+from tempnet.cli import main
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def verb_calls(path, u, v):
+    """Every verb, most of their options, and a few errors, on one trace file."""
+    calls = [["stats", path], ["classify", path], ["components", path], ["robust-mis", path],
+             ["sim", "forest", path, "--checks"],
+             # eight unknown nodes: naming the first one a set yields differs between the seeds
+             ["robust-mis", path, "--check", *(f"x{i}" for i in range(8))]]
+    calls += [["convert", path, "--to", to] for to in ("snapshots", "intervals", "linkstream", "dot")]
+    for kind in ("strict", "nonstrict"):
+        calls += [["closure", path, "--kind", kind], ["closure", path, "--kind", kind, "--roundtrip"]]
+        calls += [["param", path, "--name", name, "--kind", kind]
+                  for name in ("tinterval", "delta", "tdiam", "rtdiam", "period", "alpha")]
+        route = ["--from", u, "--to", v, "--kind", kind]
+        calls += [["journey", path, "--mode", "foremost", "--from", u, "--at", "0", "--kind", kind],
+                  ["journey", path, "--mode", "shortest", *route, "--at", "0"],
+                  ["journey", path, "--mode", "fastest", *route],
+                  ["journey", path, "--mode", "fastest", *route, "--window", "1", "3"],
+                  ["journey", path, "--mode", "fastest", *route, "--window", "3", "1"],
+                  ["journey", path, "--mode", "latest-departure", *route, "--at", "4"],
+                  ["journey", path, "--mode", "disjoint", *route],
+                  ["journey", path, "--mode", "separator", *route]]
+    calls += [["sim", "relabel", path, "--algorithm", algorithm, "--runs", "3", "--emitter", u,
+               "--sentinel", v] for algorithm in ("broadcast", "count-sentinel", "count-uniform",
+                                                  "count-circulate")]
+    calls += [["windows", path, "--metric", metric, "--width", "2", "--step", "1"]
+              for metric in ("tc", "tdiam", f"ecc:{u}")]
+    return calls
+
+
+def test_every_verb_prints_the_same_bytes_under_two_hash_seeds(
+        tmp_path, trace_file, journey_fig, distance_fig, menger_fig, bull_trace):
+    # stdout and stderr are a function of the input alone, not of set iteration order
+    csv = tmp_path / "distance.csv"
+    csv.write_text(dump_linkstream(distance_fig))
+    calls = (verb_calls(trace_file(journey_fig, "journey.json"), "a", "e")
+             + verb_calls(trace_file(distance_fig, "distance.json"), "a", "d")
+             + verb_calls(str(csv), "a", "d")
+             + verb_calls(trace_file(menger_fig, "menger.json"), "s", "t")
+             + verb_calls(trace_file(bull_trace, "bull.json"), "a", "e"))
+    env = os.environ | {"PYTHONPATH": str(Path(tempnet.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-c", RUN_VERBS], input=json.dumps(calls),
+                           capture_output=True, text=True, check=True,
+                           env=env | {"PYTHONHASHSEED": str(seed)}).stdout.splitlines()
+            for seed in (0, 1)]
+    assert len(runs[0]) == len(runs[1]) == len(calls)
+    for first, second in zip(*runs):
+        assert first == second
+    codes = [json.loads(line)[1] for line in runs[0]]
+    assert codes.count(0) > len(calls) * 2 // 3  # mostly answers, not errors

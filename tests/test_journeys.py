@@ -275,6 +275,11 @@ def test_fastest_matches_bruteforce(seq, kind):
 
 @given(sequences(max_delta=6), KINDS, st.integers(-1, 7), st.integers(-1, 7))
 def test_windowed_fastest_matches_walk_oracle(seq, kind, wlo, whi):
+    if not max(wlo, 0) <= min(whi, seq.delta - 1):  # inverted, or no snapshot in it
+        with pytest.raises(RangeError) as raised:
+            fastest_journey(seq, "v0", "v1", window=(wlo, whi), kind=kind)
+        assert str(raised.value) == f"window [{wlo}, {whi}] holds no departure time in 0..{seq.delta - 1}"
+        return
     nodes = sorted(seq.nodes)
     for u in nodes:
         for v in nodes:
@@ -409,14 +414,20 @@ QUARTERS = st.integers(-4, 36).map(lambda k: Fraction(k, 4))
     QUARTERS,
 )
 def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window, t):
+    lo, hi = g.span
+    misses = not max(window[0], lo) <= min(window[1], hi)  # inverted, or outside the lifetime
     for u in sorted(g.nodes):
         fastest = oracles.brute_fastest_intervals(g, u, kind, *window)
         latest = oracles.brute_latest_departure_intervals(g, u, kind, t)
         for v in sorted(g.nodes - {u}):
-            got = fastest_journey(g, u, v, window, kind)
-            if v not in fastest:
-                assert got is None
+            if misses:
+                assert not fastest
+                with pytest.raises(RangeError, match=r"holds no departure time in lifetime \[0, 8\]"):
+                    fastest_journey(g, u, v, window, kind)
+            elif v not in fastest:
+                assert fastest_journey(g, u, v, window, kind) is None
             else:
+                got = fastest_journey(g, u, v, window, kind)
                 assert (got.duration, got.departure) == fastest[v]
                 assert validate_journey(g, got)
             assert latest_departure(g, u, v, t, kind) == latest.get(v)
@@ -520,9 +531,11 @@ def test_zero_latency_hop_may_leave_as_its_run_ends():
 )
 def test_returned_journeys_are_valid_hop_by_hop(g, kind, t, dep_hi, window):
     lo, hi = g.span
+    t = min(max(t, lo), hi)  # a start or a window outside the lifetime raises
+    window = window if max(window[0], lo) <= min(window[1], hi) else (lo, hi)
     found = []
     for u in sorted(g.nodes):
-        table = earliest_arrival(g, u, min(max(t, lo), hi), kind, dep_hi)
+        table = earliest_arrival(g, u, t, kind, dep_hi)
         found += [table.journey_to(v) for v in sorted(g.nodes)]
         for v in sorted(g.nodes - {u}):
             found += [shortest_journey(g, u, v, t, kind), fastest_journey(g, u, v, window, kind)]
@@ -553,17 +566,25 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
 
 
 def count_searches(monkeypatch, tables=None):
-    """Record the departure of every ``_foremost`` search from here on, and
+    """Record the departure of every ``_foremost`` search from here on, in graph
+    time (a search on ``_shifted_grid``'s integer view reports t0 / scale), and
     each search's ``stop`` and table into ``tables`` when it is given."""
-    starts, real = [], journeys._foremost
+    starts, views = [], {}  # id(view) -> (view, scale), the view kept alive
+    real_search, real_grid = journeys._foremost, journeys._shifted_grid
+
+    def grid(g, lo, hi):
+        scale, view, cands = real_grid(g, lo, hi)
+        views[id(view)] = view, scale
+        return scale, view, cands
 
     def counted(ig, src, t0, *rest, **kw):
-        starts.append(t0)
-        table = real(ig, src, t0, *rest, **kw)
+        starts.append(Fraction(t0, views[id(ig)][1]) if id(ig) in views else t0)
+        table = real_search(ig, src, t0, *rest, **kw)
         if tables is not None:
             tables.append((kw.get("stop"), table))
         return table
 
+    monkeypatch.setattr(journeys, "_shifted_grid", grid)
     monkeypatch.setattr(journeys, "_foremost", counted)
     return starts
 
@@ -610,7 +631,7 @@ def test_interval_fastest_sweep_skips_dominated_departures(monkeypatch, kind):
     # a ~> c only by a-b at 5 and b-c from 8: departing at 0..5 arrives at 9
     g = IntervalGraph.build("abc", {("a", "b"): [(5, 6)], ("b", "c"): [(8, 10)]},
                             latency=1, span=(0, 10))
-    grid = journeys._shifted_grid(g, 0, 10)
+    _, _, grid = journeys._shifted_grid(g, 0, 10)
     starts = count_searches(monkeypatch)
     got = fastest_journey(g, "a", "c", kind=kind)
     assert (got.duration, got.departure) == oracles.brute_fastest_intervals(g, "a", kind, 0, 10)["c"]
@@ -756,6 +777,9 @@ def test_disjoint_and_separator_match_bruteforce(seq, kind):
         assert max_disjoint_journeys(seq, s, t, kind) == disjoint
 
 
+FIFTHS = st.integers(0, 15).map(lambda k: Fraction(k, 5))  # window bounds inside [0, 3]
+
+
 @st.composite
 def thirds_and_quarters(draw):
     """An interval graph whose runs end on 1/3 or 1/4 steps, one step per edge."""
@@ -768,15 +792,90 @@ def thirds_and_quarters(draw):
 
 
 @settings(deadline=None)
-@given(thirds_and_quarters(), st.lists(st.integers(0, 15).map(lambda k: Fraction(k, 5)),
-                                       min_size=2, max_size=2).map(sorted))
+@given(thirds_and_quarters(), st.lists(FIFTHS, min_size=2, max_size=2).map(sorted))
 def test_shifted_grid_on_integers_matches_fraction_oracle(g, window):
     # fifths are off the thirds-and-quarters grid of the runs
     lo, hi = window
-    got = journeys._shifted_grid(g, lo, hi)
-    assert got == oracles.shifted_grid(g, lo, hi)
-    assert all(type(x) is Fraction for x in got)
+    scale, view, got = journeys._shifted_grid(g, lo, hi)
+    assert [Fraction(x, scale) for x in got] == oracles.shifted_grid(g, lo, hi)
+    assert all(type(x) is int and x % 2 == 0 for x in got)  # even ticks: midpoints are ticks
     assert all(a < b for a, b in zip(got, got[1:]))  # sorted and distinct
+    # the view is the graph with every time in ticks
+    assert view.latency == g.latency * scale and view.span == (0, 3 * scale)
+    assert view.edges == {e: tuple((a * scale, b * scale) for a, b in ivs) for e, ivs in g.edges.items()}
+    assert all(type(x) is int for ivs in view.edges.values() for iv in ivs for x in iv)
+    if scale == g._scaled[0]:
+        assert view is g._scaled[1]  # on the grid: the cached view itself
+
+
+@settings(deadline=None)
+@given(thirds_and_quarters(), KINDS, st.lists(FIFTHS, min_size=2, max_size=2, unique=True).map(sorted))
+def test_foremost_tree_on_the_integer_view_matches_fraction_sampling(g, kind, window):
+    # fifths are off the thirds-and-quarters grid, so the view is rescaled for the window
+    for src in sorted(g.nodes):
+        assert foremost_tree_intervals(g, src, window, kind) == oracles.foremost_tree(g, src, kind, *window)
+
+
+def test_foremost_tree_samples_each_segment_strictly_inside():
+    # at 0, c is one hop away (a-c ends there, and at zero latency a hop may
+    # leave as its run ends); just after 0 it is reached through b, and from
+    # 1/2 on only d is reached.  Sampling a segment's start shows c -> a.
+    g = IntervalGraph.build("abcd", {("a", "c"): [(-1, 0)], ("a", "b"): [(0, Fraction(1, 2))],
+                                     ("b", "c"): [(0, Fraction(1, 2))], ("a", "d"): [(0, 1)]},
+                            latency=0)
+    assert earliest_arrival(g, "a", 0).parent["c"] == ("a", 0)
+    # dates on halves and integer bounds: every tick must split a half in two
+    assert foremost_tree_intervals(g, "a", (0, 1)) == [
+        ((0, Fraction(1, 2)), {"b": "a", "c": "b", "d": "a"}), ((Fraction(1, 2), 1), {"d": "a"})]
+    # a bound off the view's grid rescales it, to ticks of 1/8 and not 1/4
+    assert foremost_tree_intervals(g, "a", (0, Fraction(1, 4))) == [
+        ((0, Fraction(1, 4)), {"b": "a", "c": "b", "d": "a"})]
+
+
+@pytest.mark.parametrize("window, shown", [((5, 3), "[5, 3]"), ((20, 30), "[20, 30]"),
+                                           ((-3, -1), "[-3, -1]")])
+def test_interval_fastest_rejects_a_window_with_no_departure_time(window, shown):
+    g = IntervalGraph.build("ab", {("a", "b"): [(2, 8)]}, latency=1, span=(0, 10))
+    for u, v in (("a", "b"), ("a", "a")):
+        with pytest.raises(RangeError) as raised:
+            fastest_journey(g, u, v, window)
+        assert str(raised.value) == f"window {shown} holds no departure time in lifetime [0, 10]"
+    # a window that overlaps the lifetime is clipped to it, down to one instant
+    assert fastest_journey(g, "a", "b", (-5, 3)) == fastest_journey(g, "a", "b", (0, 3))
+    assert fastest_journey(g, "a", "b", (7, 30)).hops == (("a", "b", 7),)
+    assert fastest_journey(g, "a", "b", (10, 30)) is None
+
+
+@pytest.mark.parametrize("window, shown", [((4, 2), "[4, 2]"), ((7, 9), "[7, 9]"), ((-2, -1), "[-2, -1]")])
+def test_discrete_fastest_rejects_a_window_with_no_departure_time(window, shown):
+    seq = seq_of("ab", [], ["ab"], [], ["ab"], [])
+    for u, v in (("a", "b"), ("a", "a")):
+        with pytest.raises(RangeError) as raised:
+            fastest_journey(seq, u, v, window)
+        assert str(raised.value) == f"window {shown} holds no departure time in 0..4"
+    assert fastest_journey(seq, "a", "b", (-5, 2)).hops == (("a", "b", 1),)
+    assert fastest_journey(seq, "a", "b", (2, 9)).hops == (("a", "b", 3),)
+    assert fastest_journey(seq, "a", "b", (4, 9)) is None
+
+
+@pytest.mark.parametrize("model, bad, shown", [
+    ("intervals", 50, "50 outside lifetime [0, 10]"),
+    ("intervals", Fraction(-1, 2), "-1/2 outside lifetime [0, 10]"),
+    ("sequence", 6, "6 outside 0..5"),
+    ("sequence", -1, "-1 outside 0..5"),
+])
+def test_shortest_journey_checks_its_start_as_earliest_arrival_does(model, bad, shown):
+    g = {"intervals": IntervalGraph.build("ab", {("a", "b"): [(2, 8)]}, latency=1, span=(0, 10)),
+         "sequence": seq_of("ab", [], ["ab"], [], ["ab"], [])}[model]
+    for call in (lambda t: earliest_arrival(g, "a", t), lambda t: shortest_journey(g, "a", "b", t),
+                 lambda t: shortest_journey(g, "a", "a", t)):
+        with pytest.raises(RangeError) as raised:
+            call(bad)
+        assert str(raised.value) == f"start time {shown}"
+    # both ends of the lifetime are fine
+    lo, hi = (0, 10) if model == "intervals" else (0, 5)
+    assert shortest_journey(g, "a", "b", lo).hops[0][:2] == ("a", "b")
+    assert shortest_journey(g, "a", "b", hi) is None
 
 
 def test_temporal_distance_keys_come_in_sorted_order_whatever_the_hash_seed():
