@@ -11,8 +11,10 @@ Nothing is fetched.  With ``--hash-seeds``, runs this checkout's ``src/``
 once per listed PYTHONHASHSEED and compares every later run with the first,
 which shows results that depend on the order in which sets iterate.  The
 cases are random snapshot sequences and interval graphs drawn with stdlib
-``random`` (mixed time denominators, latency in {0, 1/3, 1/2, 1}), and they
-call
+``random`` (mixed time denominators, latency in {0, 1/3, 1/2, 1}); on
+interval graphs the query times, window bounds and steps are also drawn on
+fifths, off every graph's grid, so the searches rescale their integer view.
+They call
 
 * ``earliest_arrival`` (every table field), ``latest_departure``,
   ``shortest_journey``, ``fastest_journey`` (on interval graphs for every
@@ -76,6 +78,7 @@ KINDS = ("strict", "nonstrict")
 CLASS_NAMES = ("J1A", "JA1", "TC", "TCrt", "E1A", "K")
 LATENCIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 DENOMINATORS = (1, 2, 3, 4, 6)
+QUERY_DENOMINATORS = (*DENOMINATORS, 5)  # interval query times; graph endpoints keep DENOMINATORS
 EXAMPLES = 2  # differences printed per group
 
 
@@ -94,8 +97,8 @@ def random_sequence(rng: random.Random):
     return SnapshotSequence(frozenset(names), snaps)
 
 
-def random_time(rng: random.Random, hi: int) -> Fraction:
-    den = rng.choice(DENOMINATORS)
+def random_time(rng: random.Random, hi: int, denominators=DENOMINATORS) -> Fraction:
+    den = rng.choice(denominators)
     return Fraction(rng.randint(0, hi * den), den)
 
 
@@ -127,12 +130,12 @@ def calls_for(rng: random.Random, g, discrete: bool):
     def when():
         # mostly valid times; now and then a fraction on a sequence or a bound
         # outside the lifetime, so error messages are compared too
-        t = rng.randint(0, hi) if discrete else random_time(rng, hi)
+        t = rng.randint(0, hi) if discrete else random_time(rng, hi, QUERY_DENOMINATORS)
         return Fraction(1, 2) + t if rng.random() < 0.05 else t
 
     def window():
         a, b = sorted((when(), when()))
-        return (a, b + 1) if discrete else (a, b + Fraction(1, rng.choice(DENOMINATORS)))
+        return (a, b + 1) if discrete else (a, b + Fraction(1, rng.choice(QUERY_DENOMINATORS)))
 
     out = [("finite_class_membership", partial(classes.finite_class_membership, g, name, kind))
            for name in CLASS_NAMES for kind in KINDS]
@@ -202,7 +205,7 @@ def calls_for(rng: random.Random, g, discrete: bool):
     else:
         metric = rng.choice(("tc", "tdiam", f"ecc:{rng.choice(nodes)}"))
         width = Fraction(rng.randint(1, 2 * hi), 2)
-        step = Fraction(1, rng.choice(DENOMINATORS))
+        step = Fraction(1, rng.choice(QUERY_DENOMINATORS))
         out.append(("sliding_metric", partial(windows.sliding_metric, g, metric, width, step)))
         for e in [*sorted(g.edges), ("v0", "v9")]:  # v9 is never a node: an absent pair
             ends = [x for run in g.edges.get(e, ()) for x in run]
@@ -271,7 +274,7 @@ def cli_calls_for(rng: random.Random, g, discrete: bool):
         return rng.choice((path, path, "-"))
 
     def when():
-        t = rng.randint(0, hi) if discrete else random_time(rng, hi)
+        t = rng.randint(0, hi) if discrete else random_time(rng, hi, QUERY_DENOMINATORS)
         return str(Fraction(1, 2) + t if rng.random() < 0.05 else t)
 
     def node():
@@ -307,7 +310,7 @@ def cli_calls_for(rng: random.Random, g, discrete: bool):
     else:
         param += maybe("--decide", str(rng.randint(0, hi + 1)))
     algorithm = rng.choice(("broadcast", "count-sentinel", "count-uniform", "count-circulate"))
-    step = Fraction(1, 1 if discrete else rng.choice(DENOMINATORS))
+    step = Fraction(1, 1 if discrete else rng.choice(QUERY_DENOMINATORS))
     calls = [
         ("stats", ["stats", src()]),
         ("convert", ["convert", src(), "--to",

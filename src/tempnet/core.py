@@ -17,8 +17,8 @@ presence over [i, i+1) with latency 1.  Its cached ``_ticks`` view holds
 that graph with plain ``int`` times; the journey kernels run on it, and
 :func:`to_intervals` returns it with exact ``Fraction`` times.  An interval
 graph caches a like integer view, ``_scaled``: every time times D, twice the
-lcm of its denominators.  The fastest-journey and foremost-tree sweeps run on
-it; the other interval kernels still compute on ``Fraction`` times.
+lcm of its denominators.  Every interval search except ``earliest_arrival``,
+steady progress and the disjoint/separator searches runs on it.
 
 All types are immutable after construction and safe for concurrent reads.
 """
@@ -502,9 +502,16 @@ def temporal_subgraph(g: TemporalGraph, window: tuple[Time, Time]) -> TemporalGr
     ta, tb = as_time(ta), as_time(tb)
     if not ta < tb:
         raise RangeError(f"empty window [{ta}, {tb})")
+    return _restrict(g, ta, tb)
+
+
+def _restrict(g: IntervalGraph, ta: Time, tb: Time) -> IntervalGraph:
+    """The one window restriction (ta < tb, Fractions or ticks): presence cut to [ta, tb),
+    a run left empty dropped, so at zero latency a run ending at ta stays outside."""
     clipped: dict[Edge, Intervals] = {}
     for e, ivs in g.edges.items():
-        kept = tuple((max(a, ta), min(b, tb)) for a, b in ivs if max(a, ta) < min(b, tb))
+        kept = tuple((a if a > ta else ta, b if b < tb else tb)
+                     for a, b in ivs if a < tb and ta < b)
         if kept:
             clipped[e] = kept
     return IntervalGraph(g.nodes, clipped, g.latency, (ta, tb))

@@ -9,9 +9,9 @@ latest departures (temporal views), the steady-progress parameter, and the
 desk-scale disjoint-journey and separator brute forces.  Each journey
 metric and the steady-progress search has one kernel, written for interval
 graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).
-The fastest and foremost-tree sweeps of an interval graph search on its
-integer view (``_scaled``) and map results back to ``Fraction`` at the end.
-Latest departure is earliest arrival on the time-reversed ``_reversed`` view.
+Interval searches other than earliest arrival, steady progress and the
+disjoint/separator ones run on the integer view (``_in_ticks``) and map back
+to ``Fraction`` at the end.  Latest departure is earliest arrival reversed.
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -186,17 +186,33 @@ def earliest_arrival(
     return _foremost(g, src, t0, kind, dep_hi)
 
 
-def _start_time(g: TemporalGraph, t0: Time) -> Time:
-    """A search's start time: an integer in 0..delta on a sequence, inside the lifetime otherwise."""
+def _start_time(g: TemporalGraph, t0: Time, what: str = "start time", last=None) -> Time:
+    """A query time: an integer in 0..last (default delta) on a sequence, else in the lifetime."""
     if isinstance(g, SnapshotSequence):
-        t0 = _tick(t0, "start time")
-        if not 0 <= t0 <= g.delta:
-            raise RangeError(f"start time {t0} outside 0..{g.delta}")
+        t0, last = _tick(t0, what), g.delta if last is None else last
+        if not 0 <= t0 <= last:
+            raise RangeError(f"{what} {t0} outside 0..{last}")
         return t0
     t0, (lo, hi) = as_time(t0), lifetime(g)
     if not lo <= t0 <= hi:
-        raise RangeError(f"start time {t0} outside lifetime [{lo}, {hi}]")
+        raise RangeError(f"{what} {t0} outside lifetime [{lo}, {hi}]")
     return t0
+
+
+def _in_ticks(g: IntervalGraph, *times: Fraction) -> tuple[int, IntervalGraph, list[int]]:
+    """(scale, view, ticks), the one rescale: the cached ``_scaled`` view (D ticks per unit)
+    or, for a time whose denominator q does not divide D/2, g at lcm(D, 2q) so every tick
+    stays even; and the times in ticks.  Results map back with Fraction(x, scale)."""
+    scale, view, _ = g._scaled
+    wide = math.lcm(scale, *(2 * t.denominator for t in times))
+    if wide != scale:
+        view = g._at_scale(wide)
+    return wide, view, [t.numerator * (wide // t.denominator) for t in times]
+
+
+def _back(x: int, scale: Optional[int]) -> Time:
+    """A time in ticks of 1/scale in graph time; a sequence's ticks (scale None) stay ints."""
+    return x if scale is None else Fraction(x, scale)
 
 
 def _foremost(ig, src, t0, kind, dep_hi, stop=None):
@@ -234,41 +250,47 @@ def _foremost(ig, src, t0, kind, dep_hi, stop=None):
     return ReachabilityTable(src, t0, kind, zeta, out_arrival, parent, hcount, dep_hi)
 
 
+def _distance_view(g: TemporalGraph, t: Time, kind: str):
+    """(view, start, scale): a distance at t is an arrival on the view minus start, in ticks
+    of 1/scale; a sequence (t in 0..delta - 1) departs just after t, at tick t + 1."""
+    _check_kind(kind)
+    if isinstance(g, SnapshotSequence):
+        return g._ticks, _start_time(g, t, "time", g.delta - 1) + 1, None
+    scale, view, (start,) = _in_ticks(g, _start_time(g, t))
+    return view, start, scale
+
+
+def _eccentricity(view: IntervalGraph, start: int, scale, kind: str, sources) -> Time:
+    """The largest distance from any of sources on an integer view, mapped back to graph
+    time: int 0 when every node is reached at start, inf once a source misses one."""
+    worst = 0
+    for u in sources:
+        arrival = _foremost(view, u, start, kind, None).arrival
+        if len(arrival) < len(view.nodes):
+            return INF
+        worst = max(worst, max(arrival.values()) - start)
+    return worst and _back(worst, scale)
+
+
 def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> dict[str, Time]:
     """arrival - t for journeys leaving just after t (discrete: departures >= t+1),
     keyed in sorted node order whatever the hash seed."""
     _check_node(g, u)
-    if isinstance(g, SnapshotSequence):
-        t = _tick(t, "time")
-        if not 0 <= t < g.delta:
-            raise RangeError(f"time {t} outside 0..{g.delta - 1}")
-        table = earliest_arrival(g, u, t + 1, kind)
-    else:
-        table = earliest_arrival(g, u, t, kind)
-    dist: dict[str, Time] = {}
-    for v in sorted(g.nodes):
-        if v == u:
-            dist[v] = 0
-        elif v in table.arrival:
-            dist[v] = table.arrival[v] - t
-        else:
-            dist[v] = INF
-    return dist
+    view, start, scale = _distance_view(g, t, kind)
+    arrival = _foremost(view, u, start, kind, None).arrival
+    return {v: 0 if v == u else _back(arrival[v] - start, scale) if v in arrival else INF
+            for v in sorted(g.nodes)}
 
 
 def eccentricity(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> Time:
     """Largest temporal distance from u at t; int 0 when every distance is 0."""
-    return max(0, *temporal_distance(g, u, t, kind).values())
+    _check_node(g, u)
+    return _eccentricity(*_distance_view(g, t, kind), kind, [u])
 
 
 def temporal_diameter_at(g: TemporalGraph, t: Time, kind: str = "strict") -> Time:
     """Largest eccentricity at t, sources in name order; stops at the first inf."""
-    worst: Time = 0
-    for u in sorted(g.nodes):
-        worst = max(worst, eccentricity(g, u, t, kind))
-        if worst == INF:
-            break
-    return worst
+    return _eccentricity(*_distance_view(g, t, kind), kind, sorted(g.nodes))
 
 
 def latest_departure(
@@ -276,35 +298,36 @@ def latest_departure(
 ) -> Optional[Time]:
     """Max departure time of a journey u ~> v arriving by t (the temporal view).
 
+    t lies in 0..delta-1 on a sequence and inside the lifetime otherwise.
     Latest departure is earliest arrival in reversed time: the foremost
-    journey v ~> u from -t on the graph's ``_reversed`` view arrives at -d
-    for the latest departure d, and that search ends once u is settled.  A
-    snapshot sequence runs on its integer ticks (t must be an integer), where
-    arriving by snapshot t is arriving by tick t + 1 and departures are the
-    same.
+    journey v ~> u from -t on the integer view's ``_reversed`` mirror arrives
+    at -d for the latest departure d, and that search ends once u is settled.
+    A snapshot sequence runs on its integer ticks (t must be an integer),
+    where arriving by snapshot t is arriving by tick t + 1 and departures are
+    the same.
     """
     _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     discrete = isinstance(g, SnapshotSequence)
-    t = _tick(t, "time") if discrete else as_time(t)
+    t = _start_time(g, t, "time", g.delta - 1 if discrete else None)
     if u == v:
         return t
-    if discrete:
-        g, t = g._ticks, t + 1
-    arrival = _foremost(g._reversed, v, -t, kind, None, stop=u).arrival
-    return -arrival[u] if u in arrival else None
+    scale, view, (tick,) = (None, g._ticks, [t + 1]) if discrete else _in_ticks(g, t)
+    arrival = _foremost(view._reversed, v, -tick, kind, None, stop=u).arrival
+    return None if u not in arrival else _back(-arrival[u], scale)
 
 
 def shortest_journey(
     g: TemporalGraph, u: str, v: str, t0: Time, kind: str = "strict"
 ) -> Optional[Journey]:
-    """Fewest-hops journey departing at or after t0, a start checked as in earliest_arrival."""
+    """Fewest-hops journey departing at or after t0 (checked as in earliest_arrival), on ticks."""
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
     t0 = _start_time(g, t0)
-    latency, g = (None, g._ticks) if isinstance(g, SnapshotSequence) else (g.latency, g)
+    latency, (scale, g, (t0,)) = ((None, (None, g._ticks, [t0])) if isinstance(g, SnapshotSequence)
+                                  else (g.latency, _in_ticks(g, t0)))
     if u == v:
         return Journey((), kind, latency)
     zeta = g.latency
@@ -329,7 +352,7 @@ def shortest_journey(
             cur, hh = v, h
             while hh > 0:
                 prev, s = back[(cur, hh)]
-                hops.append((prev, cur, s))
+                hops.append((prev, cur, _back(s, scale)))
                 cur, hh = prev, hh - 1
             return Journey(tuple(reversed(hops)), kind, latency)
         layer = nxt
@@ -438,19 +461,13 @@ def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
 def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> tuple[int, IntervalGraph, list[int]]:
     """(scale, view, grid): the interval sweeps' integer view and candidates, where grid
     holds the characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside
-    [lo, hi]: the fastest sweep's departures and the foremost-tree segment ends.
-
-    Times are ticks of 1/scale, since Fraction arithmetic is the slow part: the cached
-    ``_scaled`` view with D ticks per unit, or, for a bound whose denominator q does not
-    divide D/2, one rescaled to lcm(D, 2q), so every tick stays even."""
-    scale, view, dates = g._scaled
-    wide = math.lcm(scale, 2 * lo.denominator, 2 * hi.denominator)
-    if wide != scale:
-        view, dates = g._at_scale(wide), [d * (wide // scale) for d in dates]
-    ilo, ihi = (t.numerator * (wide // t.denominator) for t in (lo, hi))
-    z, n = view.latency, len(g.nodes)
-    return wide, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
-                               if ilo <= d - k * z <= ihi})
+    [lo, hi]: the fastest sweep's departures and the foremost-tree segment ends, in
+    ticks of ``_in_ticks``'s view for lo and hi."""
+    scale, view, (ilo, ihi) = _in_ticks(g, lo, hi)
+    (base, _, dates), z, n = g._scaled, view.latency, len(g.nodes)
+    dates = (d * (scale // base) for d in dates)
+    return scale, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
+                                if ilo <= d - k * z <= ihi})
 
 
 def foremost_tree_intervals(

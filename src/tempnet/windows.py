@@ -5,14 +5,16 @@ Metrics are measured on the trace restricted to each window [s, s+width)
 journeys departing at or after s.  Windows advance by a fixed step from the
 start of the lifetime; a trailing partial window is dropped.
 
-An interval window's ``tdiam`` (``tc``: is it finite?) and ``ecc:v`` are
-``temporal_diameter_at`` and ``eccentricity`` of the restricted trace at s,
-so a series is limited to 10,000 windows.  A snapshot sequence's pointwise
-eccentricity looks just after an instant, so there one walk of the strict
-``tdiameter`` window algebra (:mod:`tempnet.hierarchy`) finds, for every
-start s, the length q[s] of the shortest window from s in which everyone
-(for ``ecc:v``, node v) reaches everyone; every point reads off q, so a
-whole series costs O(delta) compose and test calls whatever its width and step.
+An interval window's ``tdiam`` (``tc``: is it finite?) and ``ecc:v`` are the
+temporal diameter and eccentricity at s of the trace restricted to it, cut
+(``core._restrict``) out of the graph's integer view in ticks that hold the
+lifetime start, width and step; a series is limited to 10,000 windows.  A
+snapshot sequence's pointwise eccentricity looks just after an instant, so
+there one walk of the strict ``tdiameter`` window algebra
+(:mod:`tempnet.hierarchy`) finds, for every start s, the length q[s] of the
+shortest window from s in which everyone (for ``ecc:v``, node v) reaches
+everyone; every point reads off q, so a whole series costs O(delta) compose
+and test calls whatever its width and step.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (
-    SnapshotSequence, TemporalGraph, Time, _node_index, as_time, lifetime, temporal_subgraph,
-)
+from .core import SnapshotSequence, TemporalGraph, Time, _node_index, _restrict, as_time, lifetime
 from .errors import ContractError, InputError, RangeError
 from .hierarchy import _Swag, _walk_grow, tdiameter
 from .io import format_time
-from .journeys import eccentricity, temporal_diameter_at
+from .journeys import _eccentricity, _in_ticks
 
 METRICS = ("tdiam", "tc")  # plus "ecc:<node>"
 _MAX_WINDOWS = 10_000
@@ -89,9 +89,10 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
         q = _shortest_passing(g, node)
         values = [q[s] - 1 if q[s] <= width else math.inf for s in starts]
     else:
-        subs = (temporal_subgraph(g, (s, s + width)) for s in starts)
-        values = [temporal_diameter_at(sub, s) if node is None else eccentricity(sub, node, s)
-                  for sub, s in zip(subs, starts)]
+        scale, view, (first, w, dt) = _in_ticks(g, lo, width, step)
+        sources = sorted(g.nodes) if node is None else [node]
+        values = [_eccentricity(_restrict(view, s, s + w), s, scale, "strict", sources)
+                  for s in range(first, first + count * dt, dt)]
     if metric == "tc":
         values = [int(v != math.inf) for v in values]
     return WindowSeries(metric, width, step, tuple(zip(starts, values)))

@@ -362,6 +362,19 @@ def test_journey_rejects_fractional_discrete_times(capsys, trace_file, journey_f
     assert capsys.readouterr().err == f"tempnet: error: {error}\n"
 
 
+@pytest.mark.parametrize("fig,at,error", [
+    ("journey_fig", "4", "time 4 outside 0..3"),  # snapshot 4 does not exist
+    ("journey_fig", "-1", "time -1 outside 0..3"),
+    ("distance_fig", "21/2", "time 21/2 outside lifetime [0, 10]"),
+])
+def test_latest_departure_rejects_an_arrival_bound_outside_the_trace(capsys, trace_file, request,
+                                                                     fig, at, error):
+    argv = ["journey", trace_file(request.getfixturevalue(fig)), "--mode", "latest-departure",
+            "--from", "a", "--to", "d", f"--at={at}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"tempnet: error: {error}\n"
+
+
 def test_closure_roundtrip_rejects_fractional_window(capsys, trace_file, journey_fig):
     argv = ["closure", trace_file(journey_fig), "--roundtrip", "--window", "1/2", "3"]
     assert main(argv) == 1

@@ -164,8 +164,14 @@ def test_sequence_journeys_match_their_interval_graph(seq, kind, dep_hi):
         for v in nodes:
             if v == u:
                 continue
-            for t in range(-1, seq.delta + 1):
+            for t in range(seq.delta):
                 assert latest_departure(seq, u, v, t, kind) == latest_departure(ig, u, v, t + 1, kind)
+            # an arrival bound outside the trace is an error in both models
+            for t in (-1, seq.delta):
+                with pytest.raises(RangeError, match=rf"time {t} outside 0\.\.{seq.delta - 1}"):
+                    latest_departure(seq, u, v, t, kind)
+            with pytest.raises(RangeError, match=rf"outside lifetime \[0, {seq.delta}\]"):
+                latest_departure(ig, u, v, seq.delta + 1, kind)
 
 
 @pytest.mark.parametrize("call", [
@@ -404,6 +410,8 @@ def test_interval_alpha_matches_bruteforce(g, kind, window):
 
 
 QUARTERS = st.integers(-4, 36).map(lambda k: Fraction(k, 4))
+# times on fifths lie off the graphs' grid, so a query there rescales the integer view
+FIFTHS = st.integers(-5, 45).map(lambda k: Fraction(k, 5))
 
 
 @settings(deadline=None)
@@ -411,7 +419,7 @@ QUARTERS = st.integers(-4, 36).map(lambda k: Fraction(k, 4))
     interval_graphs(latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))),
     KINDS,
     st.tuples(QUARTERS, QUARTERS),
-    QUARTERS,
+    QUARTERS | FIFTHS,
 )
 def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window, t):
     lo, hi = g.span
@@ -430,7 +438,11 @@ def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window
                 got = fastest_journey(g, u, v, window, kind)
                 assert (got.duration, got.departure) == fastest[v]
                 assert validate_journey(g, got)
-            assert latest_departure(g, u, v, t, kind) == latest.get(v)
+            if lo <= t <= hi:
+                assert latest_departure(g, u, v, t, kind) == latest.get(v)
+            else:
+                with pytest.raises(RangeError, match=rf"time {t} outside lifetime \[0, 8\]"):
+                    latest_departure(g, u, v, t, kind)
             # over the whole lifetime, the latest departure arriving when the
             # fastest journey does is that journey's departure
             fast = fastest_journey(g, u, v, kind=kind)
@@ -439,7 +451,8 @@ def test_interval_fastest_and_latest_departure_match_grid_oracle(g, kind, window
 
 
 @settings(deadline=None)
-@given(interval_graphs(), KINDS, st.integers(0, 32).map(lambda k: Fraction(k, 4)))
+@given(interval_graphs(), KINDS, st.integers(0, 32).map(lambda k: Fraction(k, 4))
+       | st.integers(0, 40).map(lambda k: Fraction(k, 5)))
 def test_interval_distances_match_grid_oracle(g, kind, t):
     hi = g.span[1]
     eccs = []

@@ -6,6 +6,7 @@ compute on an integer view whose scale depends on the times' denominators,
 so a scale c with a new denominator changes the view's scale as well.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,7 +14,16 @@ from hypothesis import strategies as st
 
 from strategies import KINDS, interval_graphs
 from tempnet.core import IntervalGraph
-from tempnet.journeys import fastest_journey, foremost_tree_intervals
+from tempnet.journeys import (
+    eccentricity,
+    fastest_journey,
+    foremost_tree_intervals,
+    latest_departure,
+    shortest_journey,
+    temporal_diameter_at,
+    temporal_distance,
+)
+from tempnet.windows import sliding_metric
 
 SCALES = st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(1, 5)])
 SHIFTS = st.sampled_from([Fraction(0), Fraction(7, 2), Fraction(-1, 3)])
@@ -26,6 +36,22 @@ def affine(g: IntervalGraph, c, k) -> IntervalGraph:
         return c * t + k
     edges = {e: [(f(a), f(b)) for a, b in ivs] for e, ivs in g.edges.items()}
     return IntervalGraph.build(g.nodes, edges, c * g.latency, tuple(map(f, g.span)))
+
+
+def mixed(g: IntervalGraph) -> IntervalGraph:
+    """g's runs on 1/3 and 1/4 steps (by edge) with latency 1/2 over [0, 8/3], on top of
+    whatever denominator a scale adds."""
+    return IntervalGraph.build(
+        g.nodes,
+        {e: [(Fraction(a, 3 + i % 2), Fraction(b, 3 + i % 2)) for a, b in ivs]
+         for i, (e, ivs) in enumerate(sorted(g.edges.items()))},
+        Fraction(1, 2), (0, Fraction(8, 3)),
+    )
+
+
+def scaled(x, c):
+    """A duration x under the scale c: 0 and inf stay as they are."""
+    return x if x in (0, math.inf) else c * x
 
 
 @settings(deadline=None)
@@ -54,13 +80,7 @@ def test_fastest_journeys_and_tree_regimes_map_under_time_scale_and_shift(g, kin
 @settings(deadline=None)
 @given(interval_graphs(latencies=LATENCIES), KINDS, SCALES, SHIFTS)
 def test_mixed_denominators_keep_the_relation(g, kind, c, k):
-    # runs on 1/3 and 1/4 steps and latency 1/2 on top of the scale's own denominator
-    g = IntervalGraph.build(
-        g.nodes,
-        {e: [(Fraction(a, 3 + i % 2), Fraction(b, 3 + i % 2)) for a, b in ivs]
-         for i, (e, ivs) in enumerate(sorted(g.edges.items()))},
-        Fraction(1, 2), (0, Fraction(8, 3)),
-    )
+    g = mixed(g)
     h = affine(g, c, k)
     for u in sorted(g.nodes):
         assert foremost_tree_intervals(h, u, h.span, kind) == [
@@ -73,3 +93,44 @@ def test_mixed_denominators_keep_the_relation(g, kind, c, k):
             if got is not None:
                 assert mapped.duration == c * got.duration
                 assert mapped.departure == c * got.departure + k
+
+
+@settings(deadline=None)
+@given(interval_graphs(latencies=LATENCIES), st.booleans(), KINDS, SCALES, SHIFTS,
+       st.integers(0, 24).map(lambda i: Fraction(i, 24)))
+def test_distances_latest_departures_and_shortest_journeys_map(g, mix, kind, c, k, at):
+    # at is a share of the lifetime: on twenty-fourths, often off the graph's grid
+    g = mixed(g) if mix else g
+    h = affine(g, c, k)
+    lo, hi = g.span
+    t = lo + at * (hi - lo)
+    ht = c * t + k
+    assert temporal_diameter_at(h, ht, kind) == scaled(temporal_diameter_at(g, t, kind), c)
+    for u in sorted(g.nodes):
+        assert temporal_distance(h, u, ht, kind) == {
+            v: scaled(d, c) for v, d in temporal_distance(g, u, t, kind).items()}
+        assert eccentricity(h, u, ht, kind) == scaled(eccentricity(g, u, t, kind), c)
+        for v in sorted(g.nodes - {u}):
+            latest = latest_departure(g, u, v, t, kind)
+            assert latest_departure(h, u, v, ht, kind) == (None if latest is None else c * latest + k)
+            got, mapped = shortest_journey(g, u, v, t, kind), shortest_journey(h, u, v, ht, kind)
+            assert (got is None) == (mapped is None)
+            if got is not None:
+                assert mapped.hop_count == got.hop_count
+                assert mapped.hops == tuple((x, y, c * s + k) for x, y, s in got.hops)
+
+
+@settings(deadline=None)
+@given(interval_graphs(latencies=LATENCIES), st.booleans(),
+       st.sampled_from(["tdiam", "tc", "ecc:v0", "ecc:v1"]), SCALES, SHIFTS,
+       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)]),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(1, 3)]))
+def test_window_series_map_under_time_scale_and_shift(g, mix, metric, c, k, width, step):
+    # width and step are shares of the lifetime, scaled with it
+    g = mixed(g) if mix else g
+    h = affine(g, c, k)
+    span = g.span[1] - g.span[0]
+    got = sliding_metric(g, metric, width * span, step * span).points
+    mapped = sliding_metric(h, metric, c * width * span, c * step * span).points
+    keep = metric == "tc"  # is the window connected: a yes or no, not a duration
+    assert mapped == tuple((c * s + k, x if keep else scaled(x, c)) for s, x in got)
