@@ -16,9 +16,9 @@ A sequence is also an interval graph on integer ticks: snapshot i is
 presence over [i, i+1) with latency 1.  Its cached ``_ticks`` view holds
 that graph with plain ``int`` times; the journey kernels run on it, and
 :func:`to_intervals` returns it with exact ``Fraction`` times.  An interval
-graph caches a like integer view, ``_scaled``: every time times D, twice the
-lcm of its denominators.  Every interval search except ``earliest_arrival``,
-steady progress and the disjoint/separator searches runs on it.
+graph caches like integer views (``_at_scale``), every time times D (``_unit``)
+or, for query times off that grid, a multiple of D.  Every interval search but
+``earliest_arrival``, steady progress and the disjoint/separator ones runs on them.
 
 All types are immutable after construction and safe for concurrent reads.
 """
@@ -399,23 +399,26 @@ class IntervalGraph:
         return IntervalGraph(self.nodes, edges, self.latency, span)
 
     @cached_property
-    def _scaled(self) -> tuple[int, "IntervalGraph", tuple[int, ...]]:
-        """The integer view: (D, the graph with every time times D, its dates).  D is
-        twice the lcm of every endpoint's, the span's and the latency's denominator,
-        so every time is an even tick and a midpoint of two of them is a tick too."""
+    def _unit(self) -> int:
+        """D, ticks per unit: twice the lcm of every endpoint's, the span's and the latency's
+        denominator, so every time is an even tick and so is a midpoint of two of them."""
         times = (*(x for ivs in self.edges.values() for iv in ivs for x in iv), *(self.span or ()))
-        scale = 2 * math.lcm(self.latency.denominator, *(t.denominator for t in times))
-        view = self._at_scale(scale)
-        return scale, view, characteristic_dates(view)
+        return 2 * math.lcm(self.latency.denominator, *{t.denominator for t in times})
 
     def _at_scale(self, scale: int) -> "IntervalGraph":
-        """Every time t as the int t * scale, read off its numerator with no Fraction
-        arithmetic; scale must be a multiple of every denominator."""
-        def tick(t):
-            return t.numerator * (scale // t.denominator)
-        edges = {e: tuple((tick(a), tick(b)) for a, b in ivs) for e, ivs in self.edges.items()}
-        span = None if self.span is None else (tick(self.span[0]), tick(self.span[1]))
-        return IntervalGraph(self.nodes, edges, tick(self.latency), span)
+        """The view in ticks of 1/scale (a multiple of ``_unit``), read off numerators with no
+        Fraction arithmetic; the view at D and the last three wider ones stay cached."""
+        views = self.__dict__.setdefault("_views", {})
+        view = views.get(scale)
+        if view is None:
+            def tick(t):
+                return t.numerator * (scale // t.denominator)
+            edges = {e: tuple((tick(a), tick(b)) for a, b in ivs) for e, ivs in self.edges.items()}
+            span = None if self.span is None else (tick(self.span[0]), tick(self.span[1]))
+            for k in [k for k in list(views) if k != self._unit][:-2]:
+                views.pop(k, None)
+            views[scale] = view = IntervalGraph(self.nodes, edges, tick(self.latency), span)
+        return view
 
 
 TemporalGraph = Union[SnapshotSequence, IntervalGraph]

@@ -186,10 +186,10 @@ def earliest_arrival(
     return _foremost(g, src, t0, kind, dep_hi)
 
 
-def _start_time(g: TemporalGraph, t0: Time, what: str = "start time", last=None) -> Time:
-    """A query time: an integer in 0..last (default delta) on a sequence, else in the lifetime."""
+def _start_time(g: TemporalGraph, t0: Time, what: str = "start time", offset: int = 0) -> Time:
+    """A query time: an integer in 0..delta - offset on a sequence, else in the lifetime."""
     if isinstance(g, SnapshotSequence):
-        t0, last = _tick(t0, what), g.delta if last is None else last
+        t0, last = _tick(t0, what), g.delta - offset
         if not 0 <= t0 <= last:
             raise RangeError(f"{what} {t0} outside 0..{last}")
         return t0
@@ -200,14 +200,19 @@ def _start_time(g: TemporalGraph, t0: Time, what: str = "start time", last=None)
 
 
 def _in_ticks(g: IntervalGraph, *times: Fraction) -> tuple[int, IntervalGraph, list[int]]:
-    """(scale, view, ticks), the one rescale: the cached ``_scaled`` view (D ticks per unit)
-    or, for a time whose denominator q does not divide D/2, g at lcm(D, 2q) so every tick
-    stays even; and the times in ticks.  Results map back with Fraction(x, scale)."""
-    scale, view, _ = g._scaled
-    wide = math.lcm(scale, *(2 * t.denominator for t in times))
-    if wide != scale:
-        view = g._at_scale(wide)
-    return wide, view, [t.numerator * (wide // t.denominator) for t in times]
+    """(scale, view, ticks), the one rescale: D (``_unit``), or lcm(D, 2q) for a time whose
+    denominator q does not divide D/2; results map back with Fraction(x, scale)."""
+    scale = math.lcm(g._unit, *(2 * t.denominator for t in times))
+    return scale, g._at_scale(scale), [t.numerator * (scale // t.denominator) for t in times]
+
+
+def _ticks_for(g: TemporalGraph, t: Time, offset: int) -> tuple[Optional[int], IntervalGraph, int]:
+    """(scale, view, tick) of a checked time: a sequence's ``_ticks`` (scale None) at t + offset
+    (1 for distances and latest departures, 0 for shortest journeys), or ``_in_ticks``."""
+    if isinstance(g, SnapshotSequence):
+        return None, g._ticks, t + offset
+    scale, view, (tick,) = _in_ticks(g, t)
+    return scale, view, tick
 
 
 def _back(x: int, scale: Optional[int]) -> Time:
@@ -250,17 +255,14 @@ def _foremost(ig, src, t0, kind, dep_hi, stop=None):
     return ReachabilityTable(src, t0, kind, zeta, out_arrival, parent, hcount, dep_hi)
 
 
-def _distance_view(g: TemporalGraph, t: Time, kind: str):
-    """(view, start, scale): a distance at t is an arrival on the view minus start, in ticks
-    of 1/scale; a sequence (t in 0..delta - 1) departs just after t, at tick t + 1."""
+def _distance_ticks(g: TemporalGraph, t: Time, kind: str) -> tuple[Optional[int], IntervalGraph, int]:
+    """``_ticks_for`` a distance's time, which journeys leave just after, with its kind checked."""
     _check_kind(kind)
-    if isinstance(g, SnapshotSequence):
-        return g._ticks, _start_time(g, t, "time", g.delta - 1) + 1, None
-    scale, view, (start,) = _in_ticks(g, _start_time(g, t))
-    return view, start, scale
+    discrete = isinstance(g, SnapshotSequence)
+    return _ticks_for(g, _start_time(g, t, "time" if discrete else "start time", 1), 1)
 
 
-def _eccentricity(view: IntervalGraph, start: int, scale, kind: str, sources) -> Time:
+def _eccentricity(scale: Optional[int], view: IntervalGraph, start: int, kind: str, sources) -> Time:
     """The largest distance from any of sources on an integer view, mapped back to graph
     time: int 0 when every node is reached at start, inf once a source misses one."""
     worst = 0
@@ -276,7 +278,7 @@ def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -
     """arrival - t for journeys leaving just after t (discrete: departures >= t+1),
     keyed in sorted node order whatever the hash seed."""
     _check_node(g, u)
-    view, start, scale = _distance_view(g, t, kind)
+    scale, view, start = _distance_ticks(g, t, kind)
     arrival = _foremost(view, u, start, kind, None).arrival
     return {v: 0 if v == u else _back(arrival[v] - start, scale) if v in arrival else INF
             for v in sorted(g.nodes)}
@@ -285,12 +287,12 @@ def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -
 def eccentricity(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> Time:
     """Largest temporal distance from u at t; int 0 when every distance is 0."""
     _check_node(g, u)
-    return _eccentricity(*_distance_view(g, t, kind), kind, [u])
+    return _eccentricity(*_distance_ticks(g, t, kind), kind, [u])
 
 
 def temporal_diameter_at(g: TemporalGraph, t: Time, kind: str = "strict") -> Time:
     """Largest eccentricity at t, sources in name order; stops at the first inf."""
-    return _eccentricity(*_distance_view(g, t, kind), kind, sorted(g.nodes))
+    return _eccentricity(*_distance_ticks(g, t, kind), kind, sorted(g.nodes))
 
 
 def latest_departure(
@@ -309,11 +311,10 @@ def latest_departure(
     _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
-    discrete = isinstance(g, SnapshotSequence)
-    t = _start_time(g, t, "time", g.delta - 1 if discrete else None)
+    t = _start_time(g, t, "time", 1)
     if u == v:
         return t
-    scale, view, (tick,) = (None, g._ticks, [t + 1]) if discrete else _in_ticks(g, t)
+    scale, view, tick = _ticks_for(g, t, 1)
     arrival = _foremost(view._reversed, v, -tick, kind, None, stop=u).arrival
     return None if u not in arrival else _back(-arrival[u], scale)
 
@@ -325,9 +326,8 @@ def shortest_journey(
     strict = _check_kind(kind)
     _check_node(g, u)
     _check_node(g, v)
-    t0 = _start_time(g, t0)
-    latency, (scale, g, (t0,)) = ((None, (None, g._ticks, [t0])) if isinstance(g, SnapshotSequence)
-                                  else (g.latency, _in_ticks(g, t0)))
+    scale, view, t0 = _ticks_for(g, _start_time(g, t0), 0)
+    latency, g = None if scale is None else g.latency, view
     if u == v:
         return Journey((), kind, latency)
     zeta = g.latency
@@ -464,8 +464,7 @@ def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> tuple[int, IntervalGr
     [lo, hi]: the fastest sweep's departures and the foremost-tree segment ends, in
     ticks of ``_in_ticks``'s view for lo and hi."""
     scale, view, (ilo, ihi) = _in_ticks(g, lo, hi)
-    (base, _, dates), z, n = g._scaled, view.latency, len(g.nodes)
-    dates = (d * (scale // base) for d in dates)
+    z, n, dates = view.latency, len(g.nodes), characteristic_dates(view)
     return scale, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
                                 if ilo <= d - k * z <= ihi})
 

@@ -6,15 +6,13 @@ journeys departing at or after s.  Windows advance by a fixed step from the
 start of the lifetime; a trailing partial window is dropped.
 
 An interval window's ``tdiam`` (``tc``: is it finite?) and ``ecc:v`` are the
-temporal diameter and eccentricity at s of the trace restricted to it, cut
-(``core._restrict``) out of the graph's integer view in ticks that hold the
-lifetime start, width and step; a series is limited to 10,000 windows.  A
-snapshot sequence's pointwise eccentricity looks just after an instant, so
-there one walk of the strict ``tdiameter`` window algebra
-(:mod:`tempnet.hierarchy`) finds, for every start s, the length q[s] of the
-shortest window from s in which everyone (for ``ecc:v``, node v) reaches
-everyone; every point reads off q, so a whole series costs O(delta) compose
-and test calls whatever its width and step.
+diameter and eccentricity at s of the window cut (``core._restrict``) out of
+the graph's integer view; a series is limited to 10,000 windows.  A snapshot
+sequence's pointwise eccentricity looks just after an instant, so there one
+walk of the strict ``tdiameter`` window algebra (:mod:`tempnet.hierarchy`)
+finds, for every start s, the length q[s] of the shortest window from s in
+which everyone (for ``ecc:v``, node v) reaches everyone; every point reads off
+q, so a whole series costs O(delta) compose and test calls whatever its width and step.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
     else:
         scale, view, (first, w, dt) = _in_ticks(g, lo, width, step)
         sources = sorted(g.nodes) if node is None else [node]
-        values = [_eccentricity(_restrict(view, s, s + w), s, scale, "strict", sources)
+        values = [_eccentricity(scale, _restrict(view, s, s + w), s, "strict", sources)
                   for s in range(first, first + count * dt, dt)]
     if metric == "tc":
         values = [int(v != math.inf) for v in values]

@@ -817,8 +817,21 @@ def test_shifted_grid_on_integers_matches_fraction_oracle(g, window):
     assert view.latency == g.latency * scale and view.span == (0, 3 * scale)
     assert view.edges == {e: tuple((a * scale, b * scale) for a, b in ivs) for e, ivs in g.edges.items()}
     assert all(type(x) is int for ivs in view.edges.values() for iv in ivs for x in iv)
-    if scale == g._scaled[0]:
-        assert view is g._scaled[1]  # on the grid: the cached view itself
+    assert scale % g._unit == 0 and view is g._at_scale(scale)  # a multiple of D, cached
+
+
+def test_off_grid_views_are_cached_and_bounded():
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 2)], ("b", "c"): [(1, 3)]}, latency=Fraction(1, 2))
+    assert g._unit == 4 and "_views" not in vars(g)  # D is read without building a view
+    assert latest_departure(g, "a", "c", Fraction(14, 5)) == Fraction(3, 2)
+    fifths = g._at_scale(20)  # built by that query, with its reversed mirror
+    assert set(g._views) == {20} and "_reversed" in fifths.__dict__
+    assert temporal_distance(g, "a", Fraction(1, 5))["c"] == Fraction(13, 10)
+    assert g._at_scale(20) is fifths and set(g._views) == {20}
+    on_grid = g._at_scale(4)
+    for q in (3, 7, 9, 11):  # D and the last three wider views stay
+        eccentricity(g, "a", Fraction(1, q))
+    assert set(g._views) == {4, 28, 36, 44} and g._at_scale(4) is on_grid
 
 
 @settings(deadline=None)

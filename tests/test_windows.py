@@ -78,10 +78,15 @@ def test_discrete_series_match_per_window_bruteforce(seq):
 
 
 HALVES = st.integers(1, 16).map(lambda k: Fraction(k, 2))
+# widths and steps on thirds and fifths lie off the graphs' integer grid, so
+# each series cuts its windows out of a rescaled view
+OFF_GRID = st.integers(1, 40).map(lambda k: Fraction(k, 5)) | st.integers(1, 24).map(
+    lambda k: Fraction(k, 3))
 
 
 @settings(deadline=None)
-@given(interval_graphs(latencies=(Fraction(0), Fraction(1, 2), Fraction(1))), HALVES, HALVES)
+@given(interval_graphs(latencies=(Fraction(0), Fraction(1, 2), Fraction(1))), HALVES | OFF_GRID,
+       (HALVES | OFF_GRID).filter(lambda x: x >= Fraction(1, 2)))
 def test_interval_series_match_per_window_oracle(g, width, step):
     windows = oracles.window_eccentricities(g, width, step)
     starts = [s for s, _ in windows]
@@ -90,25 +95,6 @@ def test_interval_series_match_per_window_oracle(g, width, step):
     expected |= {f"ecc:{u}": [eccs[u] for _, eccs in windows] for u in sorted(g.nodes)}
     for metric, values in expected.items():
         assert sliding_metric(g, metric, width, step).points == tuple(zip(starts, values)), metric
-
-
-# widths and steps on thirds and fifths lie off the graphs' integer grid, so
-# each series cuts its windows out of a rescaled view
-OFF_GRID = st.integers(1, 40).map(lambda k: Fraction(k, 5)) | st.integers(1, 24).map(
-    lambda k: Fraction(k, 3))
-
-
-@settings(deadline=None)
-@given(interval_graphs(latencies=(Fraction(0), Fraction(1, 2), Fraction(1))), OFF_GRID,
-       OFF_GRID.filter(lambda x: x >= Fraction(1, 2)))
-def test_interval_series_off_the_grid_match_per_window_oracle(g, width, step):
-    windows = oracles.window_eccentricities(g, width, step)
-    tdiam = [max(eccs.values()) for _, eccs in windows]
-    assert sliding_metric(g, "tdiam", width, step).points == tuple(
-        (s, d) for (s, _), d in zip(windows, tdiam))
-    for u in sorted(g.nodes):
-        assert sliding_metric(g, f"ecc:{u}", width, step).points == tuple(
-            (s, eccs[u]) for s, eccs in windows)
 
 
 @pytest.mark.parametrize("g", [
