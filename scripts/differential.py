@@ -17,8 +17,8 @@ fifths, off every graph's grid, so the searches rescale their integer view.
 They call
 
 * ``earliest_arrival`` (every table field), ``latest_departure``,
-  ``shortest_journey``, ``fastest_journey`` (on interval graphs for every
-  ordered pair, over the lifetime and over a drawn window),
+  ``shortest_journey``, ``fastest_journey`` (for every ordered pair, over
+  the whole trace and over a drawn window),
   ``temporal_distance``, ``eccentricity``, ``temporal_diameter_at``,
   ``foremost_tree_intervals`` and the interval ``sliding_metric``;
 * ``validate_journey`` on every journey that ``earliest_arrival`` (through
@@ -145,11 +145,9 @@ def calls_for(rng: random.Random, g, discrete: bool):
         foremost = partial(J.earliest_arrival, g, u, when(), kind, rng.choice((None, when())))
         latest = partial(J.latest_departure, g, u, v, when(), kind)
         shortest = partial(J.shortest_journey, g, u, v, when(), kind)
-        if discrete:
-            fastest = [partial(J.fastest_journey, g, u, v, rng.choice((None, window())), kind)]
-        else:  # the candidate sweep: every ordered pair, over the lifetime and a drawn window
-            fastest = [partial(J.fastest_journey, g, a, b, w, kind)
-                       for a, b in itertools.permutations(nodes, 2) for w in (None, window())]
+        # the candidate sweep: every ordered pair, over the lifetime and a drawn window
+        fastest = [partial(J.fastest_journey, g, a, b, w, kind)
+                   for a, b in itertools.permutations(nodes, 2) for w in (None, window())]
         out += [
             ("earliest_arrival", foremost),
             ("latest_departure", latest),

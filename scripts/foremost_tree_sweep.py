@@ -3,7 +3,11 @@
 
 Prints one line per maximal start-date interval on which the earliest-arrival
 tree out of the chosen root keeps the same parent map.  Useful for eyeballing
-how routing out of one node drifts as the network evolves.
+how routing out of one node drifts as the network evolves.  A snapshot trace
+is swept as its interval form (``to_intervals``: snapshot i is presence over
+[i, i+1), latency 1).
+
+    python3 scripts/foremost_tree_sweep.py trace.json --root a [--kind nonstrict]
 """
 
 import argparse
@@ -12,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tempnet.core import lifetime
+from tempnet.core import SnapshotSequence, lifetime, to_intervals
 from tempnet.io import format_time, load_graph, load_linkstream
 from tempnet.journeys import foremost_tree_intervals
 
@@ -32,6 +36,8 @@ def main() -> int:
     args = ap.parse_args()
 
     g = load(args.trace)
+    if isinstance(g, SnapshotSequence):
+        g = to_intervals(g)
     lo, hi = lifetime(g)
     pieces = foremost_tree_intervals(g, args.root, (lo, hi), kind=args.kind)
     print(f"root={args.root} window=[{format_time(lo)}, {format_time(hi)}) "

@@ -8,7 +8,9 @@ foremost (earliest-arrival), shortest (fewest-hops) and fastest
 latest departures (temporal views), the steady-progress parameter, and the
 desk-scale disjoint-journey and separator brute forces.  Each journey
 metric and the steady-progress search has one kernel, written for interval
-graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).
+graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).  The
+fastest sweep is one loop for both models: only its candidate departures
+differ (``_shifted_grid``).
 Interval searches other than earliest arrival, steady progress and the
 disjoint/separator ones run on the integer view (``_in_ticks``) and map back
 to ``Fraction`` at the end.  Latest departure is earliest arrival reversed.
@@ -38,8 +40,6 @@ from .core import (
     _check_kind,
     _check_limit,
     _first_hop,
-    _hop_rows,
-    _mask_bits,
     _node_index,
     _reach_masks,
     _tick,
@@ -372,23 +372,22 @@ def fastest_journey(
 
     The window is clipped to the lifetime (0..delta-1 on a sequence); one
     that is inverted or misses it raises RangeError.  Ties go to the earlier
-    departure.  On a snapshot sequence one scan over the snapshots keeps,
-    per node, the latest first-hop time of any journey from u that has
-    reached it (every such journey can wait there), so v's best (arrival -
-    departure, departure) is read off as it is reached.  Interval graphs
-    sweep the candidate departures d (characteristic dates and window
-    bounds minus k * zeta) in order, on ``_shifted_grid``'s integer view;
-    the earliest optimal departure is one of them (an optimal journey
-    slides back until a presence start, an edge's end or a window bound
-    pins it).  Each d is scored as (arrival - d, d) by one earliest-arrival
-    search that stops once v is settled.  If that journey leaves u at
-    d1 > d, every candidate in (d, d1) arrives when d does and scores worse
-    than d1, so the sweep jumps to d1, itself a presence start.  It stops at
-    the first journey that lasts as little as any journey can: zeta times
-    the hop distance from u to v in the footprint when strict (each hop
-    leaves once the last has arrived), zeta when non-strict.  One more
-    earliest-arrival search from the chosen departure rebuilds the journey,
-    whose hop times then map back to graph time.
+    departure.  One sweep serves both models, on ``_shifted_grid``'s
+    integer view: it tries candidate departures d in order.  A sequence's
+    candidates are every snapshot index in the window (a discrete journey
+    departs at one); an interval graph's are the characteristic dates and
+    window bounds minus k * zeta, and the earliest optimal departure is one
+    of them (an optimal journey slides back until a presence start, an
+    edge's end or a window bound pins it).  One earliest-arrival search from
+    d, stopped once v is settled, finds a journey leaving u at d1 >= d.
+    Every later departure arrives no earlier, so d1 scores best in [d, d1]
+    as (arrival - d1, d1), and no departure up to arrival - best (d1 or
+    later) lasts less than the best so far; the sweep resumes after it.  It
+    stops at the first journey that lasts as little as any journey can:
+    zeta times the hop distance from u to v in the footprint when strict
+    (each hop leaves once the last has arrived), zeta when non-strict.  One
+    more earliest-arrival search from the chosen departure rebuilds the
+    journey, whose hop times then map back to graph time.
     """
     strict = _check_kind(kind)
     _check_node(g, u)
@@ -403,53 +402,31 @@ def fastest_journey(
     wlo, whi = max(wlo, lo), min(whi, hi)
     if u == v:
         return Journey((), kind, None if discrete else g.latency)
-    best: Optional[tuple[Time, Time]] = None  # (duration, departure)
-    if discrete:
-        bit = _node_index(g.nodes)[1]
-        ui, vi = bit[u], bit[v]
-        dep = [-1] * len(bit)  # latest first-hop time of a journey that reached each node
-        for t in range(wlo, g.delta):
-            pre = list(dep)  # hops in snapshot t extend journeys as they stood before it
-            if t <= whi:
-                pre[ui] = t  # u may leave at t; dep[ui] moves only when a journey returns
-            if strict:
-                for a, b in g.snapshots[t]:
-                    i, j = bit[a], bit[b]
-                    dep[i], dep[j] = max(dep[i], pre[j]), max(dep[j], pre[i])
-            else:
-                for comp in set(_hop_rows(g.nodes, g.snapshots[t], False)):
-                    if comp & (comp - 1):  # a lone node takes no hop
-                        top = max(pre[i] for i in _mask_bits(comp))
-                        for i in _mask_bits(comp):
-                            dep[i] = top
-            if dep[vi] >= 0 and (best is None or (t - dep[vi], dep[vi]) < best):
-                best = (t - dep[vi], dep[vi])
-    else:  # on ticks of 1/scale, where whi is the last candidate
-        (scale, ig, grid), i = _shifted_grid(g, wlo, whi), 0
-        # a strict journey takes zeta per hop; a non-strict one may take zeta in all
-        floor = ig.latency * (_footprint_hops(g, u, v) if strict else 1)
-        while i < len(grid):
-            d = grid[i]
-            table = _foremost(ig, u, d, kind, grid[-1], stop=v)
-            if v not in table.arrival:
-                break  # departing even later cannot help
-            if best is None or (table.arrival[v] - d, d) < best:
-                best = (table.arrival[v] - d, d)
-            if best[0] == floor:
-                break  # no journey is faster, and ties go to the earlier departure
-            # up to the found journey's departure every candidate arrives as d does
-            i = max(i + 1, bisect.bisect_left(grid, table.journey_to(v).departure))
+    (scale, ig, grid), i = _shifted_grid(g, wlo, whi), 0  # whi is the last candidate
+    # a strict journey takes zeta per hop; a non-strict one may take zeta in all
+    floor = ig.latency * (_footprint_hops(ig, u, v) if strict else 1)
+    best: Optional[tuple[int, int]] = None  # (arrival - departure, departure) in ticks
+    while i < len(grid):
+        table = _foremost(ig, u, grid[i], kind, grid[-1], stop=v)
+        if v not in table.arrival:
+            break  # departing even later cannot help
+        # the journey leaves at d1 >= grid[i], and no later departure arrives earlier
+        arr, d1 = table.arrival[v], table.journey_to(v).departure
+        if best is None or (arr - d1, d1) < best:
+            best = (arr - d1, d1)
+        if best[0] == floor:
+            break  # no journey is faster, and ties go to the earlier departure
+        i = bisect.bisect_right(grid, arr - best[0])  # none up to there beats best; d1 is there
     if best is None:
         return None
-    if discrete:
-        return earliest_arrival(g, u, best[1], kind, dep_hi=whi).journey_to(v)
     hops = _foremost(ig, u, best[1], kind, grid[-1]).journey_to(v).hops
     assert hops[0][2] == best[1]
-    return Journey(tuple((x, y, Fraction(s, scale)) for x, y, s in hops), kind, g.latency)
+    return Journey(tuple((x, y, _back(s, scale)) for x, y, s in hops), kind,
+                   None if discrete else g.latency)
 
 
 def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
-    """Hop distance from u to v in the footprint (moot when v is out of reach)."""
+    """Hop distance from u to v in the footprint of a sweep's view (moot when v is out of reach)."""
     adj, seen, frontier, hops = footprint(g).adjacency, {u}, {u}, 0
     while frontier and v not in frontier:
         frontier = {y for x in frontier for y in adj[x]} - seen
@@ -458,11 +435,14 @@ def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
     return hops
 
 
-def _shifted_grid(g: IntervalGraph, lo: Time, hi: Time) -> tuple[int, IntervalGraph, list[int]]:
-    """(scale, view, grid): the interval sweeps' integer view and candidates, where grid
-    holds the characteristic dates and lo, hi, each minus k * zeta for k <= n + 1, inside
-    [lo, hi]: the fastest sweep's departures and the foremost-tree segment ends, in
-    ticks of ``_in_ticks``'s view for lo and hi."""
+def _shifted_grid(g: TemporalGraph, lo: Time, hi: Time) -> tuple[Optional[int], IntervalGraph, list[int]]:
+    """(scale, view, grid): the sweeps' integer view and candidates.  On a sequence the
+    view is ``_ticks`` (scale None) and the grid every snapshot index in [lo, hi].  On an
+    interval graph the grid holds the characteristic dates and lo, hi, each minus
+    k * zeta for k <= n + 1, inside [lo, hi]: the fastest sweep's departures and the
+    foremost-tree segment ends, in ticks of ``_in_ticks``'s view for lo and hi."""
+    if isinstance(g, SnapshotSequence):
+        return None, g._ticks, list(range(lo, hi + 1))
     scale, view, (ilo, ihi) = _in_ticks(g, lo, hi)
     z, n, dates = view.latency, len(g.nodes), characteristic_dates(view)
     return scale, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
@@ -482,8 +462,12 @@ def foremost_tree_intervals(
     grid, and equal adjacent segments are merged.  Boundary instants are never
     sampled, so the reported half-open intervals are exact on that grid.
     Searches run on ``_shifted_grid``'s integer view; the window must lie
-    inside the lifetime.
+    inside the lifetime.  A snapshot sequence is rejected: ``to_intervals``
+    converts it.
     """
+    if isinstance(g, SnapshotSequence):
+        raise InputError("foremost-tree sweeps need an interval graph; "
+                         "convert a snapshot sequence with to_intervals")
     _check_node(g, src)
     wlo, whi = as_time(window[0]), as_time(window[1])
     if not wlo < whi:

@@ -1,6 +1,7 @@
 """Journey validity and the optimal-journey searches."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from strategies import KINDS, interval_graphs, sequences
 from tempnet.core import IntervalGraph, edge, supports_hop, to_intervals
 from tempnet import journeys
 from tempnet.errors import ContractError, InputError, RangeError
+from tempnet.io import dump_graph
 from tempnet.journeys import (
     INF,
     Journey,
@@ -374,6 +376,22 @@ def test_foremost_tree_rejects_a_window_outside_the_lifetime(window, shown):
     assert foremost_tree_intervals(g, "a", (0, 1)) == [((0, 1), {"b": "a"})]
 
 
+def test_foremost_tree_sweep_asks_for_the_interval_form_of_a_sequence(tmp_path):
+    seq = seq_of("abc", ["ab"], ["bc"], ["ab", "bc"])
+    with pytest.raises(InputError) as raised:
+        foremost_tree_intervals(seq, "a", (0, 3))
+    assert "to_intervals" in str(raised.value)
+    # the script sweeps a snapshot trace as its interval form
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(dump_graph(seq)))
+    script = Path(__file__).parents[1] / "scripts" / "foremost_tree_sweep.py"
+    done = subprocess.run([sys.executable, str(script), str(path), "--root", "a"],
+                          capture_output=True, text=True, check=True)
+    pieces = foremost_tree_intervals(to_intervals(seq), "a", (0, 3))
+    assert done.stdout.splitlines()[0] == f"root=a window=[0, 3) pieces={len(pieces)}"
+    assert len(done.stdout.splitlines()) == 1 + len(pieces)
+
+
 @given(sequences(max_n=4, max_delta=4), KINDS)
 def test_alpha_matches_bruteforce(seq, kind):
     assert steady_progress_alpha(seq, kind=kind) == oracles.brute_alpha(seq, kind)
@@ -580,8 +598,9 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
 
 def count_searches(monkeypatch, tables=None):
     """Record the departure of every ``_foremost`` search from here on, in graph
-    time (a search on ``_shifted_grid``'s integer view reports t0 / scale), and
-    each search's ``stop`` and table into ``tables`` when it is given."""
+    time (a search on ``_shifted_grid``'s integer view reports t0 / scale, and on a
+    sequence's ``_ticks`` t0), and each search's ``stop`` and table into ``tables``
+    when it is given."""
     starts, views = [], {}  # id(view) -> (view, scale), the view kept alive
     real_search, real_grid = journeys._foremost, journeys._shifted_grid
 
@@ -591,7 +610,7 @@ def count_searches(monkeypatch, tables=None):
         return scale, view, cands
 
     def counted(ig, src, t0, *rest, **kw):
-        starts.append(Fraction(t0, views[id(ig)][1]) if id(ig) in views else t0)
+        starts.append(journeys._back(t0, views[id(ig)][1]) if id(ig) in views else t0)
         table = real_search(ig, src, t0, *rest, **kw)
         if tables is not None:
             tables.append((kw.get("stop"), table))
@@ -627,6 +646,20 @@ def test_interval_fastest_sweep_stops_at_zeta_per_footprint_hop(monkeypatch):
     assert starts == [0, 0]
 
 
+def test_sequence_fastest_sweep_stops_at_one_tick_per_footprint_hop(monkeypatch):
+    # a-b and b-c are in every snapshot: a strict journey from 0 reaches c by 1
+    seq = seq_of("abc", *[["ab", "bc"]] * 8)
+    starts = count_searches(monkeypatch)
+    got = fastest_journey(seq, "a", "c", kind="strict")
+    assert got.hops == (("a", "b", 0), ("b", "c", 1)) and got.duration == 1
+    # two footprint hops take two ticks, so snapshots 1..7 are never searched
+    assert starts == [0, 0]
+    starts.clear()
+    got = fastest_journey(seq, "a", "c", kind="nonstrict")
+    assert got.hops == (("a", "b", 0), ("b", "c", 0)) and got.duration == 0
+    assert starts == [0, 0]
+
+
 @pytest.mark.parametrize("kind", ["strict", "nonstrict"])
 def test_latest_departure_search_ends_once_u_is_settled(monkeypatch, kind):
     # reversed from b at -10, a settles at -9 and c, left by 4 at the latest, at -4
@@ -649,8 +682,20 @@ def test_interval_fastest_sweep_skips_dominated_departures(monkeypatch, kind):
     got = fastest_journey(g, "a", "c", kind=kind)
     assert (got.duration, got.departure) == oracles.brute_fastest_intervals(g, "a", kind, 0, 10)["c"]
     assert got.hops == (("a", "b", 5), ("b", "c", 8))
-    # 0 leaves at 5, so 1..4 are skipped; 6 reaches nothing; then the rebuild from 5
-    assert starts == [0, 5, 6, 5] and len(grid) == 11
+    # 0 leaves at 5, which scores in its place, so 1..5 are skipped; 6 reaches
+    # nothing; then the rebuild from 5
+    assert starts == [0, 6, 5] and len(grid) == 11
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_sequence_fastest_sweep_skips_dominated_departures(monkeypatch, kind):
+    # a ~> c only by a-b in snapshot 5 and b-c in 8: departing at 0..5 reaches c by 8
+    seq = seq_of("abc", *[[]] * 5, ["ab"], [], [], ["bc"], [])
+    starts = count_searches(monkeypatch)
+    got = fastest_journey(seq, "a", "c", kind=kind)
+    assert (got.duration, got.departure) == oracles.brute_fastest(seq, "a", "c", kind, 0, 9)
+    assert got.hops == (("a", "b", 5), ("b", "c", 8))
+    assert starts == [0, 6, 5]
 
 
 @settings(deadline=None)

@@ -4,6 +4,9 @@ Mapping every time t to c * t + k (c > 0) keeps the order of every time the
 kernels compare, so each answer maps the same way.  The interval sweeps
 compute on an integer view whose scale depends on the times' denominators,
 so a scale c with a new denominator changes the view's scale as well.
+
+A snapshot sequence and its interval form (``to_intervals``, latency 1) hold
+the same journeys: a hop in snapshot t is a hop at time t, arriving by t + 1.
 """
 
 import math
@@ -12,8 +15,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import KINDS, interval_graphs
-from tempnet.core import IntervalGraph
+from strategies import KINDS, interval_graphs, sequences
+from tempnet.core import IntervalGraph, to_intervals
 from tempnet.journeys import (
     eccentricity,
     fastest_journey,
@@ -75,6 +78,21 @@ def test_fastest_journeys_and_tree_regimes_map_under_time_scale_and_shift(g, kin
             ((c * a + k, c * b + k), shape)
             for (a, b), shape in foremost_tree_intervals(g, u, window, kind)
         ]
+
+
+@settings(deadline=None)
+@given(sequences(max_n=5, max_delta=6), KINDS)
+def test_fastest_journeys_keep_their_hops_in_the_interval_form(seq, kind):
+    # the interval form's duration counts the last hop's latency, 1
+    g = to_intervals(seq)
+    for u in sorted(seq.nodes):
+        for v in sorted(seq.nodes - {u}):
+            got = fastest_journey(seq, u, v, kind=kind)
+            mapped = fastest_journey(g, u, v, (0, seq.delta - 1), kind)
+            assert (got is None) == (mapped is None)
+            if got is not None:
+                assert mapped.hops == got.hops
+                assert mapped.duration == got.duration + 1
 
 
 @settings(deadline=None)
