@@ -27,12 +27,15 @@ They call
   every edge and one absent pair, at times drawn on run ends;
 * ``steady_progress_alpha`` for both kinds, with and without ``pair`` and
   ``window``;
+* ``min_temporal_separator`` and ``max_disjoint_journeys`` for both kinds
+  and a drawn pair of distinct nodes;
 * ``relabel.run`` for every protocol, three runs sharing one rng, and
   ``simforest.run`` with ``checks=True``;
 * on sequences, ``strict_closure`` and ``nonstrict_closure``, and for both
   kinds ``roundtrip_closure`` (over the whole trace and a drawn window),
-  ``concat_roundtrip`` of two adjacent drawn windows and
-  ``is_roundtrip_connected`` (over the same two spans);
+  ``concat_roundtrip`` of two adjacent drawn windows,
+  ``is_roundtrip_connected`` (over the same two spans) and
+  ``maximal_temporal_components``;
 * on sequences, the window algebra for both kinds: ``hierarchy.extremal``
   and ``hierarchy.decide`` (value and ``ops``) and ``IncrementalDecide``
   (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
@@ -163,6 +166,9 @@ def calls_for(rng: random.Random, g, discrete: bool):
             ("eccentricity", partial(J.eccentricity, g, u, when(), kind)),
             ("temporal_diameter_at", partial(J.temporal_diameter_at, g, when(), kind)),
         ]
+        s, t = rng.sample(nodes, 2)
+        out += [("min_temporal_separator", partial(J.min_temporal_separator, g, s, t, kind)),
+                ("max_disjoint_journeys", partial(J.max_disjoint_journeys, g, s, t, kind))]
         if not discrete:
             out.append(("foremost_tree_intervals",
                         partial(J.foremost_tree_intervals, g, u, window(), kind)))
@@ -178,6 +184,7 @@ def calls_for(rng: random.Random, g, discrete: bool):
                 ("concat_roundtrip", partial(concat_windows, g, a, m, b, kind)),
                 ("is_roundtrip_connected", partial(roundtrip_connected, g, None, kind)),
                 ("is_roundtrip_connected", partial(roundtrip_connected, g, window(), kind)),
+                ("maximal_temporal_components", partial(C.maximal_temporal_components, g, kind)),
             ]
         for algo in relabel.ALGORITHMS:
             out.append(("relabel.run", partial(relabel_runs, g, algo, rng.randrange(2**32),

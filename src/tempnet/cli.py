@@ -102,6 +102,8 @@ def _limit(args) -> dict:
     # --limit-n 0 disables the desk-scale bound entirely
     if args.limit_n is None:
         return {}
+    if args.limit_n < 0:
+        raise InputError(f"--limit-n must be at least 0, got {args.limit_n}")
     return {"limit_n": args.limit_n or None}
 
 

@@ -18,7 +18,7 @@ that graph with plain ``int`` times; the journey kernels run on it, and
 :func:`to_intervals` returns it with exact ``Fraction`` times.  An interval
 graph caches like integer views (``_at_scale``), every time times D (``_unit``)
 or, for query times off that grid, a multiple of D.  Every interval search but
-``earliest_arrival``, steady progress and the disjoint/separator ones runs on them.
+the public ``earliest_arrival`` runs on them.
 
 All types are immutable after construction and safe for concurrent reads.
 """

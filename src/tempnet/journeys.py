@@ -11,9 +11,9 @@ metric and the steady-progress search has one kernel, written for interval
 graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).  The
 fastest sweep is one loop for both models: only its candidate departures
 differ (``_shifted_grid``).
-Interval searches other than earliest arrival, steady progress and the
-disjoint/separator ones run on the integer view (``_in_ticks``) and map back
-to ``Fraction`` at the end.  Latest departure is earliest arrival reversed.
+Every interval search but the public ``earliest_arrival`` runs on an integer
+view (``_in_ticks``, ``IntervalGraph._at_scale``) and maps back to
+``Fraction`` at the end.  Latest departure is earliest arrival reversed.
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -502,9 +502,12 @@ def steady_progress_alpha(
     at zero latency a run ending at s is outside it).  The idle between hops
     at t1 and t2 is t2 - t1 - c as in Journey.max_wait: on a sequence c is 1
     strict and 0 non-strict; on an interval graph c is zeta in both kinds (a
-    non-strict hop may leave before the last arrives).  A sequence runs the
-    one search on its slice's integer ticks with integer alpha.  Returns
-    None when some pair has no such journey in the window at all.
+    non-strict hop may leave before the last arrives).  On an interval graph
+    the candidates are (d2 - d1 - k * zeta) / j for characteristic dates or
+    window bounds d1 < d2 and k, j <= n, each a whole tick of the window's
+    view at scale D * lcm(1..n); a sequence tries every integer alpha on its
+    slice's ticks.  Returns None when some pair has no such journey in the
+    window at all.
     """
     strict = _check_kind(kind)
     discrete = isinstance(g, SnapshotSequence)
@@ -519,24 +522,19 @@ def steady_progress_alpha(
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
     sub = temporal_subgraph(g, window)
     if discrete:
-        cands: list = list(range(sub.delta))
         # alpha is built from time differences, so the slice's ticks may start at 0
-        ig, wlo, gap, cost = sub._ticks, 0, int(strict), int(strict)
+        scale, ig, cands = None, sub._ticks, list(range(sub.delta))
+        wlo, gap, cost = 0, int(strict), int(strict)
     else:
-        ig, (wlo, whi) = sub, sub.span
-        gap, cost = g.latency if strict else 0, g.latency
-        span = whi - wlo
         n = len(g.nodes)
+        scale = sub._unit * math.lcm(*range(1, n + 1))
+        ig = sub._at_scale(scale)
+        (wlo, whi), z = ig.span, ig.latency
+        gap, cost = z if strict else 0, z
         anchors = {*characteristic_dates(ig), wlo, whi}
-        cands = sorted({
-            Fraction(d2 - d1 - k * g.latency, j)
-            for d1 in anchors
-            for d2 in anchors
-            if d2 > d1
-            for k in range(n + 1)
-            for j in range(1, n + 1)
-            if 0 <= Fraction(d2 - d1 - k * g.latency, j) <= span
-        } | {Fraction(0), span})
+        diffs = {d2 - d1 for d1 in anchors for d2 in anchors if d2 > d1}
+        cands = sorted({(p - k * z) // j for p in diffs for k in range(n + 1) if p >= k * z
+                        for j in range(1, n + 1)} | {0, whi - wlo})
     # Feasibility is monotone: a pair feasible at cands[i] is feasible above
     # it, so each pair keeps the least index it is known feasible at.  Every
     # index tested lies above every failed one, so failures need no memory.
@@ -562,7 +560,7 @@ def steady_progress_alpha(
             hi_i = mid
         else:
             lo_i = mid + 1
-    return cands[lo_i]
+    return _back(cands[lo_i], scale)
 
 
 def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:
@@ -614,13 +612,10 @@ def _journey_exists(g: TemporalGraph, s: str, t: str, internal, kind: str) -> bo
         bit = _node_index(g.nodes)[1]
         _, reach = _reach_masks(g, kind == "strict", keep)
         return bool(reach[bit[t]] >> bit[s] & 1)
-    edges = {
-        e: ivs for e, ivs in g.edges.items() if e[0] in keep and e[1] in keep
-    }
-    sub = IntervalGraph(keep, edges, g.latency, g.span)
-    lo, _ = lifetime(sub)
-    table = earliest_arrival(sub, s, lo, kind)
-    return t in table.parent
+    view = g._at_scale(g._unit)
+    edges = {e: ivs for e, ivs in view.edges.items() if e[0] in keep and e[1] in keep}
+    sub = IntervalGraph(keep, edges, view.latency, view.span)
+    return t in _foremost(sub, s, lifetime(view)[0], kind, None, stop=t).parent
 
 
 def _minimal_feasible_sets(g, s, t, kind) -> Optional[list[frozenset[str]]]:

@@ -11,8 +11,10 @@ cross-checks the fixpoint on tiny traces.  Library results are compared against 
 instances; nothing in this module shares code with the package
 (`SnapshotSequence` and `IntervalGraph` serve only as containers), except
 `loop_decide`, which drives the package's counting queue so that its
-operation counts compare, and `foremost_tree`, which samples the package's
-`Fraction`-time `earliest_arrival` to check the integer-view regime sweep.
+operation counts compare, `foremost_tree`, which samples the package's
+`Fraction`-time `earliest_arrival` to check the integer-view regime sweep,
+and `alpha_by_candidates`, which runs the package's `_alpha_ok` on `Fraction`
+times over the `Fraction` candidate list to check the integer-view alpha.
 """
 
 from __future__ import annotations
@@ -436,6 +438,43 @@ def brute_alpha_intervals(ig, kind, wlo, whi):
             return None
         worst = max(worst, need)
     return worst
+
+
+def alpha_by_candidates(g, kind, window, pair=None):
+    """Steady progress on an interval graph over the window's ``Fraction``
+    times: every candidate (d2 - d1 - k * zeta) / j in [0, span] for
+    characteristic dates or window bounds d1 < d2 and k, j <= n, bisected
+    (feasibility is monotone in alpha) with the package's ``_alpha_ok`` on
+    the ``Fraction`` subgraph; None when some pair fails even at the span."""
+    from tempnet.core import characteristic_dates, temporal_subgraph
+    from tempnet.journeys import _alpha_ok
+
+    sub = temporal_subgraph(g, window)
+    (wlo, whi), zeta, n = sub.span, g.latency, len(g.nodes)
+    span = whi - wlo
+    anchors = {*characteristic_dates(sub), wlo, whi}
+    cands = sorted({
+        Fraction(d2 - d1 - k * zeta, j)
+        for d1 in anchors
+        for d2 in anchors
+        if d2 > d1
+        for k in range(n + 1)
+        for j in range(1, n + 1)
+        if 0 <= Fraction(d2 - d1 - k * zeta, j) <= span
+    } | {Fraction(0), span})
+    pairs = [pair] if pair else list(itertools.permutations(sorted(g.nodes), 2))
+    gap = zeta if kind == "strict" else 0
+
+    def feasible(i):
+        return all(_alpha_ok(sub, a, b, wlo, cands[i], gap, zeta) for a, b in pairs)
+
+    lo, hi = 0, len(cands) - 1
+    if not feasible(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
+    return cands[lo]
 
 
 def _endpoints(ig):

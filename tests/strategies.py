@@ -65,3 +65,14 @@ def interval_graphs(draw, min_n=2, max_n=4, max_intervals=2, max_time=8,
     return IntervalGraph.build(
         frozenset(names), edges, latency=latency, span=(0, max_time)
     )
+
+
+def mixed(g: IntervalGraph, latency=Fraction(1, 2)) -> IntervalGraph:
+    """g's runs on 1/3 and 1/4 steps (by edge) with the given latency over [0, 8/3], on top
+    of whatever denominator a scale adds."""
+    return IntervalGraph.build(
+        g.nodes,
+        {e: [(Fraction(a, 3 + i % 2), Fraction(b, 3 + i % 2)) for a, b in ivs]
+         for i, (e, ivs) in enumerate(sorted(g.edges.items()))},
+        latency, (0, Fraction(8, 3)),
+    )

@@ -525,6 +525,16 @@ def test_limit_n_zero_disables_the_guard(capsys, trace_file, menger_fig):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["components"], ["robust-mis"],
+    ["journey", "--mode", "disjoint", "--from", "s", "--to", "t"],
+    ["journey", "--mode", "separator", "--from", "s", "--to", "t"],
+])
+def test_negative_limit_n_is_an_input_error(capsys, trace_file, menger_fig, argv):
+    assert main([argv[0], trace_file(menger_fig), *argv[1:], "--limit-n", "-1"]) == 1
+    assert capsys.readouterr().err == "tempnet: error: --limit-n must be at least 0, got -1\n"
+
+
 def test_out_writes_file(capsys, trace_file, journey_fig, tmp_path):
     target = tmp_path / "result.json"
     assert main(["--out", str(target), "stats", trace_file(journey_fig)]) == 0

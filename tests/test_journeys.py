@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import long_line, seq_of
-from strategies import KINDS, interval_graphs, sequences
+from strategies import KINDS, interval_graphs, mixed, sequences
 from tempnet.core import IntervalGraph, edge, supports_hop, to_intervals
 from tempnet import journeys
 from tempnet.errors import ContractError, InputError, RangeError
@@ -425,6 +425,62 @@ def test_alpha_zero_when_relay_is_immediate():
 def test_interval_alpha_matches_bruteforce(g, kind, window):
     want = oracles.brute_alpha_intervals(g, kind, *window)
     assert steady_progress_alpha(g, window, kind) == want
+
+
+# window bounds inside [0, 8/3]: on the 1/12 grid of 1/3 and 1/4 endpoints, or on fifths
+GRID_OR_FIFTHS = st.integers(0, 32).map(lambda k: Fraction(k, 12)) | st.integers(0, 13).map(
+    lambda k: Fraction(k, 5))
+
+
+@settings(deadline=None)
+@given(
+    interval_graphs(latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    st.lists(GRID_OR_FIFTHS, min_size=2, max_size=2, unique=True).map(sorted).map(tuple),
+)
+def test_interval_alpha_matches_the_fraction_candidate_search(g, kind, window):
+    g = mixed(g, g.latency)  # runs on 1/3 and 1/4 steps
+    # over all pairs an initial wait tends to set alpha, so each pair is asked on its own too
+    for pair in [None, *itertools.permutations(sorted(g.nodes), 2)]:
+        got = steady_progress_alpha(g, window, kind, pair)
+        want = oracles.alpha_by_candidates(g, kind, window, pair)
+        assert (got, type(got)) == (want, type(want))
+
+
+def test_interval_alpha_may_spread_one_wait_over_hops():
+    # d is reachable from 1 on, and three equal waits of 1/3 get there: a candidate over j = 3
+    g = IntervalGraph.build("abcd", {("a", "b"): [(0, 4)], ("b", "c"): [(0, 4)],
+                                     ("c", "d"): [(1, 4)]}, latency=0)
+    for kind in ("strict", "nonstrict"):
+        assert steady_progress_alpha(g, kind=kind, pair=("a", "d")) == Fraction(1, 3)
+
+
+def test_interval_alpha_and_separators_search_on_ints(monkeypatch):
+    g = IntervalGraph.build("sabt", {
+        ("s", "a"): [(0, Fraction(1, 2))], ("a", "t"): [(1, Fraction(4, 3))],
+        ("s", "b"): [(Fraction(1, 4), Fraction(3, 4))], ("b", "t"): [(Fraction(3, 4), 2)],
+    }, latency=Fraction(1, 6))
+    seen = []
+    real_foremost, real_ok = journeys._foremost, journeys._alpha_ok
+
+    def times(ig):
+        return [ig.latency, *(x for ivs in ig.edges.values() for run in ivs for x in run)]
+
+    def foremost(ig, src, t0, kind, dep_hi, stop=None):
+        seen.append([t0, *times(ig)])
+        return real_foremost(ig, src, t0, kind, dep_hi, stop)
+
+    def alpha_ok(ig, src, dst, wlo, alpha, gap, cost):
+        seen.append([wlo, alpha, gap, cost, *times(ig)])
+        return real_ok(ig, src, dst, wlo, alpha, gap, cost)
+
+    monkeypatch.setattr(journeys, "_foremost", foremost)
+    monkeypatch.setattr(journeys, "_alpha_ok", alpha_ok)
+    for kind in ("strict", "nonstrict"):
+        assert min_temporal_separator(g, "s", "t", kind) == 2
+        assert max_disjoint_journeys(g, "s", "t", kind) == 2
+        assert type(steady_progress_alpha(g, kind=kind, pair=("s", "t"))) is Fraction
+    assert seen and all(type(x) is int for call in seen for x in call)
 
 
 QUARTERS = st.integers(-4, 36).map(lambda k: Fraction(k, 4))

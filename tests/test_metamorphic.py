@@ -9,13 +9,14 @@ A snapshot sequence and its interval form (``to_intervals``, latency 1) hold
 the same journeys: a hop in snapshot t is a hop at time t, arriving by t + 1.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import KINDS, interval_graphs, sequences
+from strategies import KINDS, interval_graphs, mixed, sequences
 from tempnet.core import IntervalGraph, to_intervals
 from tempnet.journeys import (
     eccentricity,
@@ -23,6 +24,7 @@ from tempnet.journeys import (
     foremost_tree_intervals,
     latest_departure,
     shortest_journey,
+    steady_progress_alpha,
     temporal_diameter_at,
     temporal_distance,
 )
@@ -39,17 +41,6 @@ def affine(g: IntervalGraph, c, k) -> IntervalGraph:
         return c * t + k
     edges = {e: [(f(a), f(b)) for a, b in ivs] for e, ivs in g.edges.items()}
     return IntervalGraph.build(g.nodes, edges, c * g.latency, tuple(map(f, g.span)))
-
-
-def mixed(g: IntervalGraph) -> IntervalGraph:
-    """g's runs on 1/3 and 1/4 steps (by edge) with latency 1/2 over [0, 8/3], on top of
-    whatever denominator a scale adds."""
-    return IntervalGraph.build(
-        g.nodes,
-        {e: [(Fraction(a, 3 + i % 2), Fraction(b, 3 + i % 2)) for a, b in ivs]
-         for i, (e, ivs) in enumerate(sorted(g.edges.items()))},
-        Fraction(1, 2), (0, Fraction(8, 3)),
-    )
 
 
 def scaled(x, c):
@@ -111,6 +102,20 @@ def test_mixed_denominators_keep_the_relation(g, kind, c, k):
             if got is not None:
                 assert mapped.duration == c * got.duration
                 assert mapped.departure == c * got.departure + k
+
+
+@settings(deadline=None)
+@given(interval_graphs(latencies=LATENCIES[1:]), KINDS, SCALES, SHIFTS,
+       st.lists(st.integers(0, 32).map(lambda k: Fraction(k, 4)), min_size=2, max_size=2,
+                unique=True).map(sorted))
+def test_steady_progress_scales_with_time(g, kind, c, k, window):
+    # alpha is a duration; at zeta > 0 every candidate it is drawn from scales with c.  Over
+    # all pairs an initial wait tends to set it, so each pair is asked on its own as well.
+    h = affine(g, c, k)
+    for w, hw in ((None, None), (tuple(window), tuple(c * t + k for t in window))):
+        for pair in [None, *itertools.permutations(sorted(g.nodes), 2)]:
+            got = steady_progress_alpha(g, w, kind, pair)
+            assert steady_progress_alpha(h, hw, kind, pair) == (None if got is None else c * got)
 
 
 @settings(deadline=None)
