@@ -20,7 +20,9 @@ They call
   ``shortest_journey``, ``fastest_journey`` (for every ordered pair, over
   the whole trace and over a drawn window),
   ``temporal_distance``, ``eccentricity``, ``temporal_diameter_at``,
-  ``foremost_tree_intervals`` and the interval ``sliding_metric``;
+  ``foremost_tree_intervals`` and the interval ``sliding_metric`` (once
+  with a drawn width and step, once with a step that asks for more windows
+  than the limit, which raises ``ContractError``);
 * ``validate_journey`` on every journey that ``earliest_arrival`` (through
   ``journey_to``, for every node), ``shortest_journey`` and
   ``fastest_journey`` return, and on interval graphs ``supports_hop`` on
@@ -212,6 +214,9 @@ def calls_for(rng: random.Random, g, discrete: bool):
         width = Fraction(rng.randint(1, 2 * hi), 2)
         step = Fraction(1, rng.choice(QUERY_DENOMINATORS))
         out.append(("sliding_metric", partial(windows.sliding_metric, g, metric, width, step)))
+        # every lifetime is 2 or longer, so steps of 1/10,000 ask for past 10,000 windows
+        out.append(("sliding_metric", partial(windows.sliding_metric, g, metric,
+                                              Fraction(1, 2), Fraction(1, 10_000))))
         for e in [*sorted(g.edges), ("v0", "v9")]:  # v9 is never a node: an absent pair
             ends = [x for run in g.edges.get(e, ()) for x in run]
             for t in [*rng.sample(ends, min(len(ends), 3)), when()]:

@@ -8,11 +8,13 @@ the earliest arrival and latest departure inside a window, and compose over
 adjacent windows, which is what makes the divide-and-conquer parameter
 searches in :mod:`tempnet.hierarchy` possible.
 
-All of it runs on the per-snapshot bitsets of ``core._hop_rows``, one bit per
-node.  A round-trip closure keeps packed reachability matrices by time, and
-composes them with ``core._join_packed``, the product ``hierarchy.tdiameter``
-uses: one spread of the relay per composition, then at most n big-int products
-per row, and O(rows) for a round-trip test.
+Closures and round-trip closures run on the per-snapshot bitsets of
+``core._hop_rows``, one bit per node.  A round-trip closure keeps packed
+reachability matrices by time, and composes them with ``core._join_packed``,
+the product ``hierarchy.tdiameter`` uses: one spread of the relay per
+composition, then at most n big-int products per row, and O(rows) for a
+round-trip test.  A component candidate takes one foremost search per member
+on the integer ticks cut to it (``core._induced``).
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from functools import cached_property, reduce
 from typing import Optional
 
 from .core import (
-    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _comb,
-    _hop_matrix, _join_packed, _mask_bits, _node_index, _reach_masks, _spread, _tick, edge,
+    SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _comb, _hop_matrix,
+    _induced, _join_packed, _mask_bits, _node_index, _reach_masks, _spread, _tick, edge,
 )
 from .errors import ContractError, InputError
+from .journeys import _foremost
 
 
 def _require_sequence(g: TemporalGraph) -> SnapshotSequence:
@@ -224,14 +227,10 @@ def _bron_kerbosch(adj: dict[str, set[str]]) -> list[frozenset[str]]:
     return cliques
 
 
-def _is_component(seq: SnapshotSequence, nodes: frozenset[str], strict: bool) -> bool:
-    # closed variant: journeys must stay inside the candidate set
-    if len(nodes) == 1:
-        return True
-    bit = _node_index(seq.nodes)[1]
-    full = sum(1 << bit[v] for v in nodes)
-    _, reach = _reach_masks(seq, strict, nodes)
-    return all(reach[bit[v]] == full for v in nodes)
+def _is_component(seq: SnapshotSequence, nodes: frozenset[str], kind: str) -> bool:
+    """Does every member reach every other by journeys inside nodes (the closed variant)?"""
+    sub = _induced(seq._ticks, nodes)
+    return all(len(_foremost(sub, v, 0, kind, None).arrival) == len(nodes) for v in nodes)
 
 
 def maximal_temporal_components(
@@ -261,7 +260,7 @@ def maximal_temporal_components(
                 cand = frozenset(combo)
                 if any(cand <= seen for seen in accepted):
                     continue
-                if _is_component(seq, cand, strict):
+                if _is_component(seq, cand, kind):
                     accepted.append(cand)
     maximal = [
         c for c in accepted

@@ -134,16 +134,11 @@ def _hop_matrix(nodes: frozenset[str], edges: Iterable[Edge], strict: bool) -> i
     return sum(row << i * n for i, row in enumerate(_hop_rows(nodes, edges, strict)))
 
 
-def _reach_masks(seq: SnapshotSequence, strict: bool, within: frozenset[str] | None = None):
-    """reach[i] = bitmask of nodes with a journey to node i (i included).
-
-    within, when given, restricts journeys to edges with both ends in it.
-    """
+def _reach_masks(seq: SnapshotSequence, strict: bool):
+    """reach[i] = bitmask of nodes with a journey to node i (i included)."""
     order = _node_index(seq.nodes)[0]
     reach = [1 << i for i in range(len(order))]
     for snap in seq.snapshots:
-        if within is not None:
-            snap = [(u, v) for u, v in snap if u in within and v in within]
         if snap:
             reach = _hop_rows(seq.nodes, snap, strict, reach)
     return order, reach
@@ -505,6 +500,9 @@ def temporal_subgraph(g: TemporalGraph, window: tuple[Time, Time]) -> TemporalGr
     ta, tb = as_time(ta), as_time(tb)
     if not ta < tb:
         raise RangeError(f"empty window [{ta}, {tb})")
+    lo, hi = lifetime(g)
+    if tb <= lo or ta >= hi:
+        raise RangeError(f"window [{ta}, {tb}) misses lifetime [{lo}, {hi}]")
     return _restrict(g, ta, tb)
 
 
@@ -518,6 +516,12 @@ def _restrict(g: IntervalGraph, ta: Time, tb: Time) -> IntervalGraph:
         if kept:
             clipped[e] = kept
     return IntervalGraph(g.nodes, clipped, g.latency, (ta, tb))
+
+
+def _induced(g: IntervalGraph, keep: frozenset[str]) -> IntervalGraph:
+    """The one node restriction: g on the nodes keep, with the edges between two of them."""
+    edges = {e: ivs for e, ivs in g.edges.items() if e[0] in keep and e[1] in keep}
+    return IntervalGraph(keep, edges, g.latency, g.span)
 
 
 @dataclass(frozen=True)

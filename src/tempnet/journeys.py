@@ -14,6 +14,8 @@ differ (``_shifted_grid``).
 Every interval search but the public ``earliest_arrival`` runs on an integer
 view (``_in_ticks``, ``IntervalGraph._at_scale``) and maps back to
 ``Fraction`` at the end.  Latest departure is earliest arrival reversed.
+The disjoint and separator searches cut the integer view to each candidate
+node set (``core._induced``) and run one earliest-arrival search on it.
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -40,8 +42,7 @@ from .core import (
     _check_kind,
     _check_limit,
     _first_hop,
-    _node_index,
-    _reach_masks,
+    _induced,
     _tick,
     as_time,
     characteristic_dates,
@@ -605,16 +606,11 @@ def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:
 
 
 def _journey_exists(g: TemporalGraph, s: str, t: str, internal, kind: str) -> bool:
+    """Is there an s ~> t journey through internal nodes only, from the start of the trace?"""
     if s == t:
         return True
-    keep = frozenset(internal) | {s, t}
-    if isinstance(g, SnapshotSequence):
-        bit = _node_index(g.nodes)[1]
-        _, reach = _reach_masks(g, kind == "strict", keep)
-        return bool(reach[bit[t]] >> bit[s] & 1)
-    view = g._at_scale(g._unit)
-    edges = {e: ivs for e, ivs in view.edges.items() if e[0] in keep and e[1] in keep}
-    sub = IntervalGraph(keep, edges, view.latency, view.span)
+    view = g._ticks if isinstance(g, SnapshotSequence) else g._at_scale(g._unit)
+    sub = _induced(view, frozenset(internal) | {s, t})
     return t in _foremost(sub, s, lifetime(view)[0], kind, None, stop=t).parent
 
 

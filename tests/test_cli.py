@@ -170,10 +170,13 @@ def test_param_period_and_alpha(capsys, trace_file, weekly_line, distance_fig):
     assert data["value"] == "83/50"
 
 
-def test_param_alpha_names_a_window_outside_the_trace(capsys, trace_file):
-    src = trace_file(seq_of("abc", ["ab"], ["bc"], ["ab"]))
-    assert main(["param", src, "--name", "alpha", "--window", "5", "7"]) == 1
-    assert capsys.readouterr().err == "tempnet: error: window [5, 7) selects no snapshot\n"
+def test_param_alpha_names_a_window_outside_the_trace(capsys, trace_file, tmp_path):
+    seq = seq_of("abc", ["ab"], ["bc"], ["ab"])
+    csv = tmp_path / "ls.csv"
+    csv.write_text(dump_linkstream(to_intervals(seq)))
+    for src, why in [(trace_file(seq), "selects no snapshot"), (csv, "misses lifetime [0, 3]")]:
+        assert main(["param", str(src), "--name", "alpha", "--window", "5", "7"]) == 1
+        assert capsys.readouterr().err == f"tempnet: error: window [5, 7) {why}\n"
 
 
 def test_param_alpha_nonstrict_on_an_interval_graph(capsys, trace_file):

@@ -186,6 +186,14 @@ def test_temporal_subgraph_continuous_clips(distance_fig):
     assert ("a", "b") not in sub.edges
 
 
+def test_temporal_subgraph_continuous_window_must_meet_the_lifetime(distance_fig):
+    # as on a sequence, a window that misses the trace is an error, not an empty trace
+    for a, b in [(11, 12), (10, 11), (-2, 0), (Fraction(-1, 2), 0)]:
+        with pytest.raises(RangeError, match=rf"^window \[{a}, {b}\) misses lifetime \[0, 10\]$"):
+            temporal_subgraph(distance_fig, (a, b))
+    assert temporal_subgraph(distance_fig, (-1, Fraction(1, 2))).span == (-1, Fraction(1, 2))
+
+
 def test_discretize_triangle(triangle_periodic):
     seq, spans = discretize(triangle_periodic)
     assert spans[0] == (0, 10)

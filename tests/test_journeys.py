@@ -17,7 +17,8 @@ import oracles
 from conftest import long_line, seq_of
 from strategies import KINDS, interval_graphs, mixed, sequences
 from tempnet.core import IntervalGraph, edge, supports_hop, to_intervals
-from tempnet import journeys
+from tempnet import closure, journeys
+from tempnet.closure import maximal_temporal_components
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.io import dump_graph
 from tempnet.journeys import (
@@ -460,7 +461,8 @@ def test_interval_alpha_and_separators_search_on_ints(monkeypatch):
         ("s", "a"): [(0, Fraction(1, 2))], ("a", "t"): [(1, Fraction(4, 3))],
         ("s", "b"): [(Fraction(1, 4), Fraction(3, 4))], ("b", "t"): [(Fraction(3, 4), 2)],
     }, latency=Fraction(1, 6))
-    seen = []
+    seq = seq_of("sabt", ["sa", "sb"], ["at", "bt"])
+    seen, cuts = [], []
     real_foremost, real_ok = journeys._foremost, journeys._alpha_ok
 
     def times(ig):
@@ -468,18 +470,40 @@ def test_interval_alpha_and_separators_search_on_ints(monkeypatch):
 
     def foremost(ig, src, t0, kind, dep_hi, stop=None):
         seen.append([t0, *times(ig)])
+        cuts.append(ig)
         return real_foremost(ig, src, t0, kind, dep_hi, stop)
 
     def alpha_ok(ig, src, dst, wlo, alpha, gap, cost):
         seen.append([wlo, alpha, gap, cost, *times(ig)])
         return real_ok(ig, src, dst, wlo, alpha, gap, cost)
 
+    def cut_to(h, search, *args):
+        """The node sets of the cuts of h's integer view that search(h, *args) searches."""
+        cuts.clear()
+        result = search(h, *args)
+        view = h._ticks if h is seq else h._at_scale(h._unit)
+        for ig in cuts:  # the view's edges between two kept nodes, same latency and span
+            assert ig.edges == {e: ivs for e, ivs in view.edges.items() if set(e) <= ig.nodes}
+            assert (ig.latency, ig.span) == (view.latency, view.span)
+        return result, {"".join(sorted(ig.nodes)) for ig in cuts}
+
     monkeypatch.setattr(journeys, "_foremost", foremost)
+    monkeypatch.setattr(closure, "_foremost", foremost)  # closure binds the name
     monkeypatch.setattr(journeys, "_alpha_ok", alpha_ok)
     for kind in ("strict", "nonstrict"):
-        assert min_temporal_separator(g, "s", "t", kind) == 2
-        assert max_disjoint_journeys(g, "s", "t", kind) == 2
+        for h in (g, seq):
+            # s ~> t through nothing, everything, all but one node, then nothing again
+            assert cut_to(h, min_temporal_separator, "s", "t", kind) == (
+                2, {"st", "abst", "ast", "bst"})
+            # {a, b} holds a minimal set already, so it is never tried
+            assert cut_to(h, max_disjoint_journeys, "s", "t", kind) == (2, {"st", "ast", "bst"})
         assert type(steady_progress_alpha(g, kind=kind, pair=("s", "t"))) is Fraction
+        assert type(steady_progress_alpha(seq, kind=kind, pair=("s", "t"))) is int
+    # each candidate is the cut's node set: strict pairs, and non-strict one snapshot's star
+    components, cut = cut_to(seq, maximal_temporal_components, "strict")
+    assert {"".join(sorted(c)) for c in components} == cut == {"as", "bs", "at", "bt"}
+    components, cut = cut_to(seq, maximal_temporal_components, "nonstrict")
+    assert {"".join(sorted(c)) for c in components} == cut == {"abs", "abt"}
     assert seen and all(type(x) is int for call in seen for x in call)
 
 

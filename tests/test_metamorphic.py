@@ -23,6 +23,8 @@ from tempnet.journeys import (
     fastest_journey,
     foremost_tree_intervals,
     latest_departure,
+    max_disjoint_journeys,
+    min_temporal_separator,
     shortest_journey,
     steady_progress_alpha,
     temporal_diameter_at,
@@ -84,6 +86,16 @@ def test_fastest_journeys_keep_their_hops_in_the_interval_form(seq, kind):
             if got is not None:
                 assert mapped.hops == got.hops
                 assert mapped.duration == got.duration + 1
+
+
+@settings(deadline=None)
+@given(sequences(max_n=6, max_delta=5), KINDS)
+def test_separators_and_disjoint_journeys_agree_in_the_interval_form(seq, kind):
+    # both cut the integer view to the kept nodes: a sequence's ticks, the interval form at D = 2
+    g = to_intervals(seq)
+    for s, t in itertools.permutations(sorted(seq.nodes), 2):
+        assert min_temporal_separator(g, s, t, kind) == min_temporal_separator(seq, s, t, kind)
+        assert max_disjoint_journeys(g, s, t, kind) == max_disjoint_journeys(seq, s, t, kind)
 
 
 @settings(deadline=None)
