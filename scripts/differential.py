@@ -37,7 +37,10 @@ They call
   kinds ``roundtrip_closure`` (over the whole trace and a drawn window),
   ``concat_roundtrip`` of two adjacent drawn windows,
   ``is_roundtrip_connected`` (over the same two spans) and
-  ``maximal_temporal_components``;
+  ``maximal_temporal_components``, and once more, for a drawn kind, on a
+  larger sparse sequence drawn for the case (8 to 12 nodes, 3 to 8
+  snapshots, each pair present with probability 0.1, 0.15 or 0.2, no node
+  limit), whose candidates refine over several levels;
 * on sequences, the window algebra for both kinds: ``hierarchy.extremal``
   and ``hierarchy.decide`` (value and ``ops``) and ``IncrementalDecide``
   (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
@@ -90,14 +93,14 @@ EXAMPLES = 2  # differences printed per group
 # ---------------------------------------------------------------- case generation
 
 
-def random_sequence(rng: random.Random):
+def random_sequence(rng: random.Random, n=(2, 5), delta=(1, 5), ps=(0.2, 0.4, 0.7)):
     from tempnet.core import SnapshotSequence, edge
 
-    names = [f"v{i}" for i in range(rng.randint(2, 5))]
+    names = [f"v{i}" for i in range(rng.randint(*n))]
     pairs = [edge(a, b) for a, b in itertools.combinations(names, 2)]
-    p = rng.choice((0.2, 0.4, 0.7))
+    p = rng.choice(ps)
     snaps = tuple(
-        frozenset(e for e in pairs if rng.random() < p) for _ in range(rng.randint(1, 5))
+        frozenset(e for e in pairs if rng.random() < p) for _ in range(rng.randint(*delta))
     )
     return SnapshotSequence(frozenset(names), snaps)
 
@@ -209,6 +212,10 @@ def calls_for(rng: random.Random, g, discrete: bool):
                     ("IncrementalDecide", partial(incremental_verdicts, algebra, g,
                                                   rng.randint(0, hi + 1))),
                 ]
+        # sparse enough to split into several components, so candidates refine more than once
+        sparse = random_sequence(rng, (8, 12), (3, 8), (0.1, 0.15, 0.2))
+        out.append(("maximal_temporal_components",
+                    partial(C.maximal_temporal_components, sparse, rng.choice(KINDS), None)))
     else:
         metric = rng.choice(("tc", "tdiam", f"ecc:{rng.choice(nodes)}"))
         width = Fraction(rng.randint(1, 2 * hi), 2)

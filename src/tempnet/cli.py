@@ -24,7 +24,9 @@ from .core import (
     SnapshotSequence,
     _as_sequence,
     as_time,
+    characteristic_dates,
     footprint,
+    lifetime,
     stats,
     to_intervals,
     to_snapshots,
@@ -92,9 +94,8 @@ def _read_text(path: str) -> str:
 
 def _load_trace(args):
     text = _read_text(args.input)
-    latency = getattr(args, "latency", None)
     if args.input.endswith(".csv") or text.lstrip().startswith("u,v,start,end"):
-        return load_linkstream(text, latency=latency if latency is not None else 1)
+        return load_linkstream(text, latency=getattr(args, "latency", 1))
     return load_graph(text)
 
 
@@ -125,14 +126,22 @@ def _cmd_convert(args):
     if args.to == "snapshots":
         seq = g if isinstance(g, SnapshotSequence) else to_snapshots(g)
         return dump_graph(seq)
-    if args.to in ("intervals", "linkstream"):
-        ig = g if not isinstance(g, SnapshotSequence) else to_intervals(
-            g, latency=args.latency if args.latency is not None else 1
-        )
-        return dump_graph(ig) if args.to == "intervals" else dump_linkstream(ig)
     if args.to == "dot":
         return static_to_dot(footprint(g))
-    raise InputError(f"unknown conversion target {args.to!r}")
+    ig = g if not isinstance(g, SnapshotSequence) else to_intervals(g, latency=args.latency)
+    if args.to == "intervals":
+        return dump_graph(ig)
+    # argparse's choices leave linkstream: a CSV loads back with latency 1, the hull of its
+    # rows as lifetime and only the nodes that some row names
+    dates = characteristic_dates(ig)
+    lost = [f"latency {format_time(ig.latency)}"] if ig.latency != 1 else []
+    if lifetime(ig) != ((dates[0], dates[-1]) if dates else (0, 0)):
+        lost.append("lifetime [%s, %s]" % tuple(map(format_time, lifetime(ig))))
+    if isolated := sorted(ig.nodes - {v for e in ig.edges for v in e}):
+        lost.append(f"isolated nodes {', '.join(isolated)}")
+    if lost:
+        print(f"tempnet: warning: the link-stream CSV drops {'; '.join(lost)}", file=sys.stderr)
+    return dump_linkstream(ig)
 
 
 def _cmd_closure(args):
@@ -312,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size, density and lifetime of a trace")
     _add_input(p)
-    p.add_argument("--latency", type=as_time, default=None)
+    p.add_argument("--latency", type=as_time, default=1)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("convert", help="translate between trace formats")
     _add_input(p)
     p.add_argument("--to", required=True,
                    choices=["snapshots", "intervals", "linkstream", "dot"])
-    p.add_argument("--latency", type=as_time, default=None)
+    p.add_argument("--latency", type=as_time, default=1)
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("closure", help="journey reachability closure")
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="class memberships and parameters")
     _add_input(p)
-    p.add_argument("--latency", type=as_time, default=None)
+    p.add_argument("--latency", type=as_time, default=1)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("param", help="window parameters (decide or extremal)")

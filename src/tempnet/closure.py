@@ -13,13 +13,12 @@ Closures and round-trip closures run on the per-snapshot bitsets of
 reachability matrices by time, and composes them with ``core._join_packed``,
 the product ``hierarchy.tdiameter`` uses: one spread of the relay per
 composition, then at most n big-int products per row, and O(rows) for a
-round-trip test.  A component candidate takes one foremost search per member
-on the integer ticks cut to it (``core._induced``).
+round-trip test.  Temporal components refine to a fixpoint, with one foremost
+search per candidate member on the ticks cut to it (``core._induced``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
@@ -227,10 +226,11 @@ def _bron_kerbosch(adj: dict[str, set[str]]) -> list[frozenset[str]]:
     return cliques
 
 
-def _is_component(seq: SnapshotSequence, nodes: frozenset[str], kind: str) -> bool:
-    """Does every member reach every other by journeys inside nodes (the closed variant)?"""
+def _mutual(seq: SnapshotSequence, nodes: frozenset[str], kind: str) -> dict[str, set[str]]:
+    """Who reaches whom both ways by journeys inside nodes: one foremost search per member."""
     sub = _induced(seq._ticks, nodes)
-    return all(len(_foremost(sub, v, 0, kind, None).arrival) == len(nodes) for v in nodes)
+    reach = {v: _foremost(sub, v, 0, kind, None).arrival.keys() for v in nodes}
+    return {v: {w for w in reach[v] if w != v and v in reach[w]} for v in nodes}
 
 
 def maximal_temporal_components(
@@ -241,32 +241,27 @@ def maximal_temporal_components(
     """Inclusion-maximal node sets whose induced trace is temporally connected.
 
     Components may overlap.  Journeys must stay within the component (closed
-    semantics).  Exponential in the worst case, hence the node limit; pass
-    limit_n=None to override it.
+    semantics).  From the whole node set, a candidate is accepted when its
+    members reach each other inside it, and otherwise gives way to the maximal
+    cliques of that mutual reachability.  A component inside a candidate keeps
+    its journeys there, so it lies in one of those smaller cliques, and every
+    maximal component is reached.  Exponential in the worst case, hence the
+    node limit; pass limit_n=None to override it.
     """
     seq = _require_sequence(g)
-    strict = _check_kind(kind)
+    _check_kind(kind)
     _check_limit(seq.nodes, limit_n, "component search")
-    order, reach = _reach_masks(seq, strict)
-    mutual: dict[str, set[str]] = {v: set() for v in order}
-    for i, j in itertools.combinations(range(len(order)), 2):
-        if reach[j] >> i & 1 and reach[i] >> j & 1:
-            mutual[order[i]].add(order[j])
-            mutual[order[j]].add(order[i])
-    accepted: list[frozenset[str]] = []
-    for clique in sorted(_bron_kerbosch(mutual), key=lambda c: (-len(c), sorted(c))):
-        for size in range(len(clique), 0, -1):
-            for combo in itertools.combinations(sorted(clique), size):
-                cand = frozenset(combo)
-                if any(cand <= seen for seen in accepted):
-                    continue
-                if _is_component(seq, cand, kind):
-                    accepted.append(cand)
-    maximal = [
-        c for c in accepted
-        if not any(c < other for other in accepted)
-    ]
-    return sorted(set(maximal), key=lambda c: (-len(c), sorted(c)))
+    todo = [seq.nodes] if seq.nodes else []
+    seen, accepted = set(todo), []
+    while todo:
+        cand = todo.pop()
+        cliques = _bron_kerbosch(_mutual(seq, cand, kind))
+        if cliques == [cand]:
+            accepted.append(cand)
+        todo += [c for c in cliques if c not in seen]
+        seen.update(cliques)
+    maximal = [c for c in accepted if not any(c < other for other in accepted)]
+    return sorted(maximal, key=lambda c: (-len(c), sorted(c)))
 
 
 def semaphore_transform(g: StaticGraph) -> SnapshotSequence:

@@ -647,16 +647,10 @@ def max_disjoint_journeys(
     minimal = _minimal_feasible_sets(g, s, t, kind)
     if minimal is None:
         return INF
-    if not minimal:
-        return 0
 
-    def pack(avail: list[frozenset[str]]) -> int:
-        if not avail:
-            return 0
-        first, rest = avail[0], avail[1:]
-        skip = pack(rest)
-        take = 1 + pack([m for m in rest if not (m & first)])
-        return max(skip, take)
+    def pack(avail: list[frozenset[str]]) -> int:  # branch on the first set taken
+        return max((1 + pack([m for m in avail[i + 1:] if not m & first])
+                    for i, first in enumerate(avail)), default=0)
 
     return pack(minimal)
 

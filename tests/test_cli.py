@@ -75,6 +75,21 @@ def test_convert_to_dot_and_linkstream(capsys, trace_file, distance_fig):
     assert "a,b,1,2" in out
 
 
+def test_convert_to_linkstream_names_what_the_csv_drops(capsys, trace_file):
+    # the CSV loads back with latency 1, lifetime [1, 2] and nodes a, b only
+    lossy = IntervalGraph.build("abc", {("a", "b"): [(1, 2)]}, latency="1/2", span=(0, 5))
+    assert main(["convert", trace_file(lossy), "--to", "linkstream"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "u,v,start,end\na,b,1,2\n"
+    assert captured.err == (
+        "tempnet: warning: the link-stream CSV drops latency 1/2; lifetime [0, 5]; "
+        "isolated nodes c\n")
+    lossless = IntervalGraph.build("ab", {("a", "b"): [(1, 2)]})
+    assert main(["convert", trace_file(lossless), "--to", "linkstream"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("u,v,start,end\na,b,1,2\n", "")
+
+
 def test_closure_json_and_dot(capsys, trace_file, closure_fig):
     src = trace_file(closure_fig)
     data = run_json(capsys, "closure", src)

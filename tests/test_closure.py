@@ -1,5 +1,8 @@
 """Closures, round-trip composition, components, semaphore unfolding."""
 
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import example, given, settings
 
 import oracles
 from conftest import CLOSURE_FIG_ARCS, graph_of, seq_of
-from strategies import KINDS, dense_sequences, sequences
+from strategies import KINDS, dense_sequences, node_names, sequences
+from tempnet import closure
 from tempnet.closure import (
     concat_roundtrip,
     is_roundtrip_connected,
@@ -18,6 +22,7 @@ from tempnet.closure import (
     semaphore_transform,
     strict_closure,
 )
+from tempnet.core import SnapshotSequence, edge
 from tempnet.errors import ContractError, InputError, RangeError
 from tempnet.hierarchy import extremal, rt_tdiameter
 
@@ -192,6 +197,42 @@ def test_overlapping_components(overlap_fig):
 def test_components_match_bruteforce(seq, kind):
     got = maximal_temporal_components(seq, kind)
     assert got == oracles.brute_components(seq, kind)
+
+
+def gnp_sequence(rng, n, delta, p):
+    """delta snapshots, each with every pair of n nodes present with probability p."""
+    names = node_names(n)
+    pairs = [edge(a, b) for a, b in itertools.combinations(names, 2)]
+    return SnapshotSequence(frozenset(names), tuple(
+        frozenset(e for e in pairs if rng.random() < p) for _ in range(delta)))
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_components_of_a_connected_trace_need_no_subset_search(kind):
+    # temporally connected, so the whole node set is the one component; a search over
+    # the subsets of its 24-node mutual-reachability clique takes 20 s
+    seq = gnp_sequence(random.Random(7), 24, 30, 0.1)
+    start = time.perf_counter()
+    assert maximal_temporal_components(seq, kind, limit_n=None) == [seq.nodes]
+    assert time.perf_counter() - start < 2
+
+
+def test_components_refine_to_the_bruteforce_answer(monkeypatch):
+    real_mutual, nested = closure._mutual, []
+
+    def mutual(seq, nodes, kind):
+        found = real_mutual(seq, nodes, kind)
+        if nodes != seq.nodes and any(len(w) < len(nodes) - 1 for w in found.values()):
+            nested.append(nodes)  # a clique of a refined candidate is refined again
+        return found
+
+    monkeypatch.setattr(closure, "_mutual", mutual)
+    rng = random.Random(28)
+    for _ in range(120):
+        seq = gnp_sequence(rng, rng.randint(2, 6), rng.randint(1, 4), rng.choice((0.15, 0.25, 0.35)))
+        for kind in ("strict", "nonstrict"):
+            assert maximal_temporal_components(seq, kind) == oracles.brute_components(seq, kind)
+    assert nested
 
 
 def test_components_limit_guard(journey_fig):

@@ -499,11 +499,14 @@ def test_interval_alpha_and_separators_search_on_ints(monkeypatch):
             assert cut_to(h, max_disjoint_journeys, "s", "t", kind) == (2, {"st", "ast", "bst"})
         assert type(steady_progress_alpha(g, kind=kind, pair=("s", "t"))) is Fraction
         assert type(steady_progress_alpha(seq, kind=kind, pair=("s", "t"))) is int
-    # each candidate is the cut's node set: strict pairs, and non-strict one snapshot's star
+    # each candidate is the cut's node set: all nodes, then the maximal cliques of their
+    # mutual reachability, each a component: strict pairs, and non-strict one snapshot's star
     components, cut = cut_to(seq, maximal_temporal_components, "strict")
-    assert {"".join(sorted(c)) for c in components} == cut == {"as", "bs", "at", "bt"}
+    assert {"".join(sorted(c)) for c in components} == {"as", "bs", "at", "bt"}
+    assert cut == {"abst", "as", "bs", "at", "bt"}
     components, cut = cut_to(seq, maximal_temporal_components, "nonstrict")
-    assert {"".join(sorted(c)) for c in components} == cut == {"abs", "abt"}
+    assert {"".join(sorted(c)) for c in components} == {"abs", "abt"}
+    assert cut == {"abst", "abs", "abt"}
     assert seen and all(type(x) is int for call in seen for x in call)
 
 

@@ -7,6 +7,9 @@ so a scale c with a new denominator changes the view's scale as well.
 
 A snapshot sequence and its interval form (``to_intervals``, latency 1) hold
 the same journeys: a hop in snapshot t is a hop at time t, arriving by t + 1.
+
+Renaming the nodes maps every journey, so every node-valued answer maps
+through the renaming; a witness need not, since ties break by node id.
 """
 
 import itertools
@@ -17,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import KINDS, interval_graphs, mixed, sequences
-from tempnet.core import IntervalGraph, to_intervals
+from tempnet.classes import CLASS_NAMES, finite_class_membership
+from tempnet.closure import maximal_temporal_components, nonstrict_closure, strict_closure
+from tempnet.core import IntervalGraph, SnapshotSequence, edge, to_intervals
 from tempnet.journeys import (
     eccentricity,
     fastest_journey,
@@ -96,6 +101,25 @@ def test_separators_and_disjoint_journeys_agree_in_the_interval_form(seq, kind):
     for s, t in itertools.permutations(sorted(seq.nodes), 2):
         assert min_temporal_separator(g, s, t, kind) == min_temporal_separator(seq, s, t, kind)
         assert max_disjoint_journeys(g, s, t, kind) == max_disjoint_journeys(seq, s, t, kind)
+
+
+@settings(deadline=None)
+@given(sequences(max_n=6, max_delta=5), KINDS)
+def test_node_renaming_maps_every_node_valued_answer(seq, kind):
+    # a bijection that reverses the nodes' sort order, so every tie by node id flips
+    nodes = sorted(seq.nodes)
+    r = {v: f"u{len(nodes) - i}" for i, v in enumerate(nodes)}
+    h = SnapshotSequence(frozenset(r.values()), tuple(
+        frozenset(edge(r[u], r[v]) for u, v in snap) for snap in seq.snapshots))
+    assert ({frozenset(map(r.get, c)) for c in maximal_temporal_components(seq, kind)}
+            == set(maximal_temporal_components(h, kind)))
+    for closure in (strict_closure, nonstrict_closure):
+        assert {(r[u], r[v]) for u, v in closure(seq).arcs} == closure(h).arcs
+    for name in CLASS_NAMES:
+        assert finite_class_membership(seq, name, kind)[0] == finite_class_membership(h, name, kind)[0]
+    for s, t in itertools.permutations(nodes, 2):
+        assert min_temporal_separator(seq, s, t, kind) == min_temporal_separator(h, r[s], r[t], kind)
+        assert max_disjoint_journeys(seq, s, t, kind) == max_disjoint_journeys(h, r[s], r[t], kind)
 
 
 @settings(deadline=None)
