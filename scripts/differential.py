@@ -46,8 +46,11 @@ They call
   (verdicts and ``all_pass``) on ``tinterval``, ``footprint_realization``,
   ``tdiameter`` and ``rt_tdiameter``; ``relabel.check_conditions`` for every
   protocol;
-* ``finite_class_membership`` for every class and kind (12 calls) and
-  ``classes.classify``;
+* ``finite_class_membership`` for every class and kind (12 calls),
+  ``classes.classify``, ``core.stats``, and ``classes.verify_covering`` in
+  all three modes, with covers drawn from the nodes (an evolving cover has
+  one stage per snapshot of the discretization) that now and then name an
+  unknown node or, on a sequence, have one stage too many;
 * every ``tempnet`` verb through ``tempnet.cli.main``, all in the worker's one
   process: random options on the case's trace (a JSON file, a link-stream
   CSV or stdin), now and then with ``--out FILE``, plus one usage error or
@@ -130,7 +133,7 @@ def calls_for(rng: random.Random, g, discrete: bool):
     from tempnet import closure as C
     from tempnet import hierarchy as H
     from tempnet import journeys as J
-    from tempnet.core import footprint, supports_hop
+    from tempnet.core import discretize, footprint, stats, supports_hop
 
     nodes = sorted(g.nodes)
     hi = g.delta if discrete else int(g.span[1])
@@ -148,6 +151,17 @@ def calls_for(rng: random.Random, g, discrete: bool):
     out = [("finite_class_membership", partial(classes.finite_class_membership, g, name, kind))
            for name in CLASS_NAMES for kind in KINDS]
     out.append(("classify", partial(classes.classify, g)))
+
+    def cover():
+        chosen = [v for v in nodes if rng.random() < 0.5]
+        return [*chosen, "v9"] if rng.random() < 0.05 else chosen
+
+    stages = g.delta + (rng.random() < 0.05) if discrete else discretize(g).sequence.delta
+    out += [("core.stats", partial(stats, g)),
+            *[("verify_covering", partial(classes.verify_covering, g, cover(), mode))
+              for mode in ("temporal", "permanent")],
+            ("verify_covering", partial(classes.verify_covering, g,
+                                        [cover() for _ in range(stages)], "evolving"))]
     for kind in KINDS:
         u, v = rng.choice(nodes), rng.choice(nodes)
         foremost = partial(J.earliest_arrival, g, u, when(), kind, rng.choice((None, when())))

@@ -46,14 +46,14 @@ def finite_class_membership(
     if name not in CLASS_NAMES:
         raise InputError(f"unknown class {name!r}, expected one of {CLASS_NAMES}")
     strict = _check_kind(kind)
-    seq = _as_sequence(g)
-    nodes = sorted(seq.nodes)
-    n = len(nodes)
-    if name in ("E1A", "K"):
-        fp = footprint(seq)
+    n = len(g.nodes)
+    if name in ("E1A", "K"):  # every run spans an elementary interval: one footprint for both
+        fp = footprint(g)
         if name == "K":
             return fp.is_complete(), None
-        return next(((True, v) for v in nodes if len(fp.adjacency[v]) == n - 1), (False, None))
+        return next(((True, v) for v in sorted(g.nodes) if len(fp.adjacency[v]) == n - 1),
+                    (False, None))
+    seq = _as_sequence(g)
     if name == "TCrt":
         return is_roundtrip_connected(roundtrip_closure(seq, kind=kind)), None
     order, reach = _reach_masks(seq, strict)  # reach[k]: the nodes with a journey to k
@@ -90,8 +90,6 @@ def verify_covering(g: TemporalGraph, cover, mode: str = "temporal") -> bool:
     snapshot, each dominating its snapshot (so isolated nodes must be picked).
     permanent: one set dominating every single snapshot.
     """
-    seq = _as_sequence(g)
-
     def dominates(graph: StaticGraph, chosen: frozenset[str]) -> bool:
         if unknown := chosen - graph.nodes:
             raise InputError(f"unknown node {min(unknown)!r} in covering")
@@ -99,21 +97,22 @@ def verify_covering(g: TemporalGraph, cover, mode: str = "temporal") -> bool:
             v in chosen or graph.adjacency[v] & chosen for v in graph.nodes
         )
 
-    if mode == "temporal":
-        return dominates(footprint(seq), frozenset(cover))
+    if mode == "temporal":  # the footprint of g and of its discretization
+        return dominates(footprint(g), frozenset(cover))
+    if mode not in ("permanent", "evolving"):
+        raise InputError(f"unknown covering mode {mode!r}")
+    seq = _as_sequence(g)
     if mode == "permanent":
         chosen = frozenset(cover)
         return all(dominates(seq.graph_at(t), chosen) for t in range(seq.delta))
-    if mode == "evolving":
-        stages = [frozenset(s) for s in cover]
-        if len(stages) != seq.delta:
-            raise InputError(
-                f"evolving covering needs {seq.delta} stages, got {len(stages)}"
-            )
-        return all(
-            dominates(seq.graph_at(t), stages[t]) for t in range(seq.delta)
+    stages = [frozenset(s) for s in cover]
+    if len(stages) != seq.delta:
+        raise InputError(
+            f"evolving covering needs {seq.delta} stages, got {len(stages)}"
         )
-    raise InputError(f"unknown covering mode {mode!r}")
+    return all(
+        dominates(seq.graph_at(t), stages[t]) for t in range(seq.delta)
+    )
 
 
 def is_robust_mis(g: StaticGraph, candidate: Iterable[str]) -> bool:
@@ -187,11 +186,17 @@ def classify(g: TemporalGraph) -> ClassReport:
     witness reported per class is the strict one when strict membership
     holds, otherwise the non-strict one.  Strict membership implies
     non-strict, so the non-strict test runs only when the strict one fails.
+    Strict TC and TCrt are read off the tdiam and rtdiam walks: a grow walk
+    finds some r <= delta exactly when its one window of length delta, the
+    whole trace, passes, and that window's test is the membership test.
     """
     seq = _as_sequence(g)
+    tdiam = hierarchy.extremal(hierarchy.tdiameter("strict"), seq).value
+    rtdiam = hierarchy.extremal(hierarchy.rt_tdiameter("strict"), seq).value
+    walked = {"TC": (tdiam is not None, None), "TCrt": (rtdiam is not None, None)}
     classes: dict[str, dict[str, object]] = {}
     for name in CLASS_NAMES:
-        s_ok, s_wit = finite_class_membership(seq, name, "strict")
+        s_ok, s_wit = walked.get(name) or finite_class_membership(seq, name, "strict")
         n_ok, wit = (s_ok, s_wit) if s_ok else finite_class_membership(seq, name, "nonstrict")
         classes[name] = {"strict": s_ok, "nonstrict": n_ok, "witness": wit}
     return ClassReport(
@@ -199,7 +204,7 @@ def classify(g: TemporalGraph) -> ClassReport:
         delta=bounded_realization_delta(seq),
         period=smallest_period(seq),
         tinterval=hierarchy.extremal(hierarchy.tinterval(), seq).value,
-        tdiam=hierarchy.extremal(hierarchy.tdiameter("strict"), seq).value,
-        rtdiam=hierarchy.extremal(hierarchy.rt_tdiameter("strict"), seq).value,
+        tdiam=tdiam,
+        rtdiam=rtdiam,
         alpha=steady_progress_alpha(seq, kind="strict"),
     )

@@ -15,7 +15,6 @@ import math
 import random
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -67,20 +66,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"tempnet: error: {message}\n")
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
-    if isinstance(x, Fraction):
-        return format_time(x)
-    if isinstance(x, float) and math.isinf(x):
-        return format_time(x)
-    return x
 
 
 def _read_text(path: str) -> str:
@@ -139,6 +124,8 @@ def _cmd_convert(args):
         lost.append("lifetime [%s, %s]" % tuple(map(format_time, lifetime(ig))))
     if isolated := sorted(ig.nodes - {v for e in ig.edges for v in e}):
         lost.append(f"isolated nodes {', '.join(isolated)}")
+    if padded := sorted(v for v in ig.nodes if v != v.strip()):  # the CSV strips every cell
+        lost.append(f"the whitespace around node ids {', '.join(map(repr, padded))}")
     if lost:
         print(f"tempnet: warning: the link-stream CSV drops {'; '.join(lost)}", file=sys.stderr)
     return dump_linkstream(ig)
@@ -239,11 +226,10 @@ def _cmd_journey(args):
             raise InputError("--at required for latest-departure")
         value = latest_departure(g, args.src, args.dst, as_time(args.at), kind=args.kind)
         return {"value": format_time(value) if value is not None else None}
-    if mode in ("disjoint", "separator"):
-        fn = max_disjoint_journeys if mode == "disjoint" else min_temporal_separator
-        value = fn(g, args.src, args.dst, kind=args.kind, **_limit(args))
-        return {"value": format_time(value) if value == math.inf else value}
-    raise InputError(f"unknown journey mode {mode!r}")
+    # argparse's choices leave disjoint and separator
+    fn = max_disjoint_journeys if mode == "disjoint" else min_temporal_separator
+    value = fn(g, args.src, args.dst, kind=args.kind, **_limit(args))
+    return {"value": format_time(value) if value == math.inf else value}
 
 
 def _cmd_components(args):
@@ -426,12 +412,10 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"tempnet: error: {exc}", file=sys.stderr)
         return 1
-    if output is None:
-        return 0
     if isinstance(output, str):
         text = output
     else:
-        text = json.dumps(_jsonable(output), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(output, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

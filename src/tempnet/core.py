@@ -25,6 +25,7 @@ All types are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -581,13 +582,18 @@ class TraceStats:
 
 
 def stats(g: TemporalGraph) -> TraceStats:
-    """n nodes, m cumulative edges, mu max instant density, k snapshots/dates."""
+    """n nodes, m cumulative edges, mu max instant density, k snapshots/dates.
+
+    On an interval graph mu is the most runs open at once, one sweep over the run
+    ends with an end before a start at a tie: an edge's runs are disjoint and
+    merged, so that is the largest snapshot of the discretization.
+    """
     lo, hi = lifetime(g)
     if isinstance(g, SnapshotSequence):
         mu = max(len(s) for s in g.snapshots)
         return TraceStats(len(g.nodes), len(footprint(g).edges), mu, g.delta, (lo, hi))
-    disc = discretize(g)
-    mu = max((len(s) for s in disc.sequence.snapshots), default=0)
+    ends = sorted(x for ivs in g.edges.values() for a, b in ivs for x in ((a, 1), (b, -1)))
+    mu = max(itertools.accumulate(step for _, step in ends), default=0)
     k = len(characteristic_dates(g))
     return TraceStats(len(g.nodes), len(g.edges), mu, k, (lo, hi))
 

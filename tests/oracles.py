@@ -13,8 +13,10 @@ instances; nothing in this module shares code with the package
 `loop_decide`, which drives the package's counting queue so that its
 operation counts compare, `foremost_tree`, which samples the package's
 `Fraction`-time `earliest_arrival` to check the integer-view regime sweep,
-and `alpha_by_candidates`, which runs the package's `_alpha_ok` on `Fraction`
-times over the `Fraction` candidate list to check the integer-view alpha.
+`alpha_by_candidates`, which runs the package's `_alpha_ok` on `Fraction`
+times over the `Fraction` candidate list to check the integer-view alpha,
+and `discretized_mu`, the largest snapshot of the package's `discretize`, to
+check the one-sweep instant density of `stats`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from tempnet.core import IntervalGraph, SnapshotSequence, StaticGraph, edge
+from tempnet.core import IntervalGraph, SnapshotSequence, StaticGraph, discretize, edge
 from tempnet.errors import ContractError
 
 
@@ -720,3 +722,12 @@ def forest_invariants_per_node_walk(state):
             path.add(x)
             x = parent[x]
         rooted |= path
+
+
+# ---------------------------------------------------------------------------
+# trace statistics
+
+
+def discretized_mu(g: IntervalGraph) -> int:
+    """Instant density as first computed: the largest snapshot of the discretization."""
+    return max((len(s) for s in discretize(g).sequence.snapshots), default=0)

@@ -7,7 +7,8 @@ from hypothesis import given
 
 import oracles
 from conftest import graph_of, seq_of
-from strategies import KINDS, sequences
+from strategies import KINDS, interval_graphs, sequences
+from tempnet import classes as classes_module, core, hierarchy
 from tempnet.classes import (
     CLASS_NAMES,
     ClassReport,
@@ -19,7 +20,8 @@ from tempnet.classes import (
     smallest_period,
     verify_covering,
 )
-from tempnet.core import SnapshotSequence, StaticGraph
+from tempnet.closure import roundtrip_closure
+from tempnet.core import SnapshotSequence, StaticGraph, discretize, footprint, stats
 from tempnet.errors import ContractError, InputError
 
 
@@ -184,12 +186,57 @@ def test_classify_report_shape(journey_fig):
 @given(sequences(max_n=4, max_delta=4))
 def test_classify_reads_the_direct_memberships(seq):
     # classify runs the non-strict test only where the strict one fails
-    classes = classify(seq).classes
+    report = classify(seq)
     for name in CLASS_NAMES:
         s_ok, s_wit = finite_class_membership(seq, name, "strict")
         n_ok, n_wit = finite_class_membership(seq, name, "nonstrict")
         witness = s_wit if s_ok else n_wit
-        assert classes[name] == {"strict": s_ok, "nonstrict": n_ok, "witness": witness}
+        assert report.classes[name] == {"strict": s_ok, "nonstrict": n_ok, "witness": witness}
+    algebras = {"delta": hierarchy.footprint_realization(footprint(seq)),
+                "tinterval": hierarchy.tinterval(), "tdiam": hierarchy.tdiameter("strict"),
+                "rtdiam": hierarchy.rt_tdiameter("strict")}
+    for field, algebra in algebras.items():
+        assert getattr(report, field) == hierarchy.extremal(algebra, seq).value
+
+
+@given(sequences(max_n=4, max_delta=4))
+def test_classify_builds_no_strict_roundtrip_closure(seq):
+    # strict TCrt is read off the rtdiam walk; a failed strict test runs the non-strict closure
+    kinds = []
+
+    def counted(g, window=None, kind="strict"):
+        kinds.append(kind)
+        return roundtrip_closure(g, window, kind)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classes_module, "roundtrip_closure", counted)
+        report = classify(seq)
+    assert kinds == ([] if report.classes["TCrt"]["strict"] else ["nonstrict"])
+
+
+@given(interval_graphs(max_n=4), KINDS)
+def test_footprint_answers_of_an_interval_graph_never_discretize(ig, kind):
+    # a trace and its discretization share one footprint, and mu is one sweep over the runs
+    seq = discretize(ig).sequence
+    covers = [set(c) for r in range(len(ig.nodes) + 1)
+              for c in itertools.combinations(sorted(ig.nodes), r)]
+
+    def answers(g):
+        return ([finite_class_membership(g, name, kind) for name in ("E1A", "K")],
+                [verify_covering(g, cover, "temporal") for cover in covers])
+
+    expected = answers(seq)
+    mu = max(len(s) for s in seq.snapshots)
+
+    def refuse(g):
+        raise AssertionError("discretize called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "discretize", refuse)
+        assert answers(ig) == expected
+        assert stats(ig).mu == mu
+        with pytest.raises(InputError, match="^unknown covering mode 'sometimes'$"):
+            verify_covering(ig, [], "sometimes")
 
 
 def test_classify_continuous_goes_through_discretization(distance_fig):

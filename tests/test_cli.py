@@ -18,7 +18,7 @@ import tempnet
 import tempnet.cli as cli
 from tempnet.cli import main
 from tempnet.core import IntervalGraph, to_intervals
-from tempnet.io import dump_graph, dump_linkstream
+from tempnet.io import dump_graph, dump_linkstream, load_linkstream
 
 
 @pytest.fixture
@@ -88,6 +88,29 @@ def test_convert_to_linkstream_names_what_the_csv_drops(capsys, trace_file):
     assert main(["convert", trace_file(lossless), "--to", "linkstream"]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("u,v,start,end\na,b,1,2\n", "")
+
+
+def test_convert_to_linkstream_names_node_ids_the_csv_strips(capsys, trace_file, tmp_path):
+    # a CSV cell loses its surrounding whitespace: " a" loads back as "a", and "  " not at all
+    padded = IntervalGraph.build([" a", "b,c", "  ", "x"],
+                                 {(" a", "b,c"): [(0, 1)], ("  ", "x"): [(1, 2)]})
+    assert main(["convert", trace_file(padded), "--to", "linkstream"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == dump_linkstream(padded)
+    assert captured.err == (
+        "tempnet: warning: the link-stream CSV drops the whitespace around node ids '  ', ' a'\n")
+    csv_path = tmp_path / "padded.csv"
+    csv_path.write_text(captured.out)
+    assert main(["stats", str(csv_path)]) == 1
+    assert capsys.readouterr().err == "tempnet: error: node ids must be non-empty strings\n"
+
+
+def test_convert_to_linkstream_keeps_a_node_id_the_csv_quotes(capsys, trace_file):
+    quoted = IntervalGraph.build(["b,c", "x"], {("b,c", "x"): [(0, 1)]})
+    assert main(["convert", trace_file(quoted), "--to", "linkstream"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ('u,v,start,end\n"b,c",x,0,1\n', "")
+    assert load_linkstream(captured.out) == quoted
 
 
 def test_closure_json_and_dot(capsys, trace_file, closure_fig):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import oracles
 from conftest import graph_of, seq_of
-from strategies import interval_graphs, sequences
+from strategies import interval_graphs, mixed, sequences
 from tempnet.core import (
     IntervalGraph,
     SnapshotSequence,
@@ -155,6 +156,20 @@ def test_footprint_and_intersection(journey_fig):
     assert intersection_graph(stable).edges == frozenset({("a", "b")})
 
 
+@given(interval_graphs())
+def test_interval_intersection_keeps_the_edges_one_run_covers(ig):
+    # the drawn span covers every run, so a stable edge is one run over the whole lifetime
+    lo, hi = lifetime(ig)
+    stable = intersection_graph(ig)
+    assert stable.nodes == ig.nodes
+    assert stable.edges == {e for e, ivs in ig.edges.items() if any(a <= lo and hi <= b for a, b in ivs)}
+
+
+def test_interval_intersection_of_an_empty_lifetime_keeps_every_edge():
+    g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(2, 3)]}, span=(1, 1))
+    assert intersection_graph(g).edges == {("a", "b"), ("b", "c")}
+
+
 def test_snapshot_at(journey_fig, distance_fig):
     assert snapshot_at(journey_fig, 1).edges == journey_fig.snapshots[1]
     assert snapshot_at(distance_fig, Fraction(3, 2)).edges == {("a", "b")}
@@ -213,9 +228,34 @@ def test_stats(journey_fig, distance_fig):
     assert c.lifetime == (0, 10)
 
 
+@given(interval_graphs(max_n=5, max_intervals=3), st.sampled_from(["plain", "mixed", "wide"]))
+def test_instant_density_is_the_largest_discretized_snapshot(ig, shape):
+    # 1/3 and 1/4 endpoints, or a lifetime wider than the runs
+    if shape == "mixed":
+        ig = mixed(ig)
+    elif shape == "wide":
+        ig = IntervalGraph.build(ig.nodes, ig.edges, ig.latency, (-2, 11))
+    assert stats(ig).mu == oracles.discretized_mu(ig)
+
+
+@pytest.mark.parametrize("span", [None, (0, 0), (1, 4)])
+def test_instant_density_without_edges_is_zero(span):
+    g = IntervalGraph.build("abc", {}, span=span)
+    assert stats(g).mu == oracles.discretized_mu(g) == 0
+
+
 @given(sequences(max_n=5, max_delta=4))
 def test_snapshot_interval_snapshot_roundtrip(seq):
     assert to_snapshots(to_intervals(seq)) == seq
+
+
+@pytest.mark.parametrize("span,shown", [(None, "1/2"), ((0, Fraction(7, 2)), "7/2")])
+def test_to_snapshots_rejects_non_integer_dates(span, shown):
+    g = IntervalGraph.build("ab", {("a", "b"): [(Fraction(1, 2), 2)]}, span=span)
+    with pytest.raises(InputError) as raised:
+        to_snapshots(g)
+    assert str(raised.value) == (
+        f"non-integer characteristic date {shown}; discretize() handles general grids")
 
 
 @given(sequences(max_n=4, max_delta=3))

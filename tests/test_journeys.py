@@ -377,6 +377,14 @@ def test_foremost_tree_rejects_a_window_outside_the_lifetime(window, shown):
     assert foremost_tree_intervals(g, "a", (0, 1)) == [((0, 1), {"b": "a"})]
 
 
+@pytest.mark.parametrize("window,shown", [((1, 1), "[1, 1)"), ((1, Fraction(1, 2)), "[1, 1/2)")])
+def test_foremost_tree_rejects_an_empty_window(window, shown):
+    g = IntervalGraph.build("ab", {("a", "b"): [(0, 2)]}, latency=0)
+    with pytest.raises(RangeError) as raised:
+        foremost_tree_intervals(g, "a", window)
+    assert str(raised.value) == f"empty window {shown}"
+
+
 def test_foremost_tree_sweep_asks_for_the_interval_form_of_a_sequence(tmp_path):
     seq = seq_of("abc", ["ab"], ["bc"], ["ab", "bc"])
     with pytest.raises(InputError) as raised:

@@ -24,6 +24,7 @@ from tempnet.classes import CLASS_NAMES, finite_class_membership
 from tempnet.closure import maximal_temporal_components, nonstrict_closure, strict_closure
 from tempnet.core import IntervalGraph, SnapshotSequence, edge, to_intervals
 from tempnet.journeys import (
+    earliest_arrival,
     eccentricity,
     fastest_journey,
     foremost_tree_intervals,
@@ -91,6 +92,31 @@ def test_fastest_journeys_keep_their_hops_in_the_interval_form(seq, kind):
             if got is not None:
                 assert mapped.hops == got.hops
                 assert mapped.duration == got.duration + 1
+
+
+@settings(deadline=None)
+@given(sequences(min_n=1, max_n=6, max_delta=9))
+def test_window_series_gain_the_last_hop_in_the_interval_form(seq):
+    # the sequence walks the packed window algebra, the interval form searches each window's
+    # cut of its view; a duration there counts the last hop's latency, 1, unless n < 2 (0 both)
+    g = to_intervals(seq)
+    shift = 1 if len(seq.nodes) >= 2 else 0
+    for metric in ("tc", "tdiam", *(f"ecc:{v}" for v in sorted(seq.nodes))):
+        for width in range(1, seq.delta + 1):
+            got = sliding_metric(seq, metric, width, 1).points
+            gain = 0 if metric == "tc" else shift
+            assert sliding_metric(g, metric, width, 1).points == tuple(
+                (s, x if x == math.inf else x + gain) for s, x in got)
+
+
+@settings(deadline=None)
+@given(sequences(min_n=1, max_n=6, max_delta=9), KINDS)
+def test_closures_are_the_reach_sets_of_the_interval_form(seq, kind):
+    # a bitset fold over the snapshots against Fraction foremost searches from time 0
+    g = to_intervals(seq)
+    closure = strict_closure if kind == "strict" else nonstrict_closure
+    assert closure(seq).arcs == {(u, v) for u in seq.nodes
+                                 for v in earliest_arrival(g, u, 0, kind).arrival if v != u}
 
 
 @settings(deadline=None)
