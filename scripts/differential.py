@@ -28,7 +28,9 @@ They call
   ``fastest_journey`` return, and on interval graphs ``supports_hop`` on
   every edge and one absent pair, at times drawn on run ends;
 * ``steady_progress_alpha`` for both kinds, with and without ``pair`` and
-  ``window``;
+  ``window``, and once more on interval cases, for a drawn kind, over all
+  pairs or a drawn pair of a larger graph drawn for the case (5 to 7 nodes),
+  whose search inside one whole tick tries fractions i / j up to j = 7;
 * ``min_temporal_separator`` and ``max_disjoint_journeys`` for both kinds
   and a drawn pair of distinct nodes;
 * ``relabel.run`` for every protocol, three runs sharing one rng, and
@@ -113,10 +115,10 @@ def random_time(rng: random.Random, hi: int, denominators=DENOMINATORS) -> Fract
     return Fraction(rng.randint(0, hi * den), den)
 
 
-def random_interval_graph(rng: random.Random):
+def random_interval_graph(rng: random.Random, n=(2, 4)):
     from tempnet.core import IntervalGraph
 
-    names = [f"v{i}" for i in range(rng.randint(2, 4))]
+    names = [f"v{i}" for i in range(rng.randint(*n))]
     hi = rng.randint(2, 6)
     edges = {}
     for a, b in itertools.combinations(names, 2):
@@ -242,6 +244,10 @@ def calls_for(rng: random.Random, g, discrete: bool):
             ends = [x for run in g.edges.get(e, ()) for x in run]
             for t in [*rng.sample(ends, min(len(ends), 3)), when()]:
                 out.append(("supports_hop", partial(supports_hop, g, e, t)))
+        big = random_interval_graph(rng, (5, 7))
+        pair = rng.choice((None, tuple(rng.sample(sorted(big.nodes), 2))))
+        out.append(("steady_progress_alpha",
+                    partial(J.steady_progress_alpha, big, None, rng.choice(KINDS), pair)))
     return out
 
 

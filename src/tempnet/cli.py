@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size, density and lifetime of a trace")
     _add_input(p)
-    p.add_argument("--latency", type=as_time, default=1)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("convert", help="translate between trace formats")

@@ -373,6 +373,9 @@ class IntervalGraph:
             if ivs:
                 canon[e] = ivs
         sp = None if span is None else (as_time(span[0]), as_time(span[1]))
+        # runs are sorted and merged, so an edge's first start and last end bound them all
+        if sp and (sp[0] > sp[1] or any(ivs[0][0] < sp[0] or sp[1] < ivs[-1][1] for ivs in canon.values())):
+            raise InputError(f"lifetime [{sp[0]}, {sp[1]}] must be an interval that holds every run")
         return IntervalGraph(node_set, canon, as_time(latency), sp)
 
     @cached_property

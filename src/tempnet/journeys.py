@@ -503,12 +503,12 @@ def steady_progress_alpha(
     at zero latency a run ending at s is outside it).  The idle between hops
     at t1 and t2 is t2 - t1 - c as in Journey.max_wait: on a sequence c is 1
     strict and 0 non-strict; on an interval graph c is zeta in both kinds (a
-    non-strict hop may leave before the last arrives).  On an interval graph
-    the candidates are (d2 - d1 - k * zeta) / j for characteristic dates or
-    window bounds d1 < d2 and k, j <= n, each a whole tick of the window's
-    view at scale D * lcm(1..n); a sequence tries every integer alpha on its
-    slice's ticks.  Returns None when some pair has no such journey in the
-    window at all.
+    non-strict hop may leave before the last arrives).  Feasibility is
+    monotone in alpha, and the least feasible alpha is p / j whole ticks of
+    the window's grid with j <= n (j = 1 on a sequence's slice): the search
+    finds the least feasible multiple c of L = lcm(1..n) ticks at scale D * L,
+    then the least feasible c - L + L * i / j for 1 <= i <= j <= n.  Returns
+    None when some pair has no such journey in the window at all.
     """
     strict = _check_kind(kind)
     discrete = isinstance(g, SnapshotSequence)
@@ -523,45 +523,45 @@ def steady_progress_alpha(
         pairs = [(a, b) for a in nodes for b in nodes if a != b]
     sub = temporal_subgraph(g, window)
     if discrete:
-        # alpha is built from time differences, so the slice's ticks may start at 0
-        scale, ig, cands = None, sub._ticks, list(range(sub.delta))
+        # alpha is a time difference, so the slice's ticks may start at 0; delta - 1 allows any wait
+        scale, ig, n, step, top = None, sub._ticks, 1, 1, sub.delta - 1
         wlo, gap, cost = 0, int(strict), int(strict)
     else:
-        n = len(g.nodes)
-        scale = sub._unit * math.lcm(*range(1, n + 1))
+        n, step = len(g.nodes), math.lcm(*range(1, len(g.nodes) + 1))
+        scale = sub._unit * step
         ig = sub._at_scale(scale)
         (wlo, whi), z = ig.span, ig.latency
-        gap, cost = z if strict else 0, z
-        anchors = {*characteristic_dates(ig), wlo, whi}
-        diffs = {d2 - d1 for d1 in anchors for d2 in anchors if d2 > d1}
-        cands = sorted({(p - k * z) // j for p in diffs for k in range(n + 1) if p >= k * z
-                        for j in range(1, n + 1)} | {0, whi - wlo})
-    # Feasibility is monotone: a pair feasible at cands[i] is feasible above
-    # it, so each pair keeps the least index it is known feasible at.  Every
-    # index tested lies above every failed one, so failures need no memory.
-    ok_from = [len(cands)] * len(pairs)
+        top, gap, cost = whi - wlo, z if strict else 0, z
+    # each pair's least alpha known feasible; every alpha tested lies above every failure
+    ok_from = [INF] * len(pairs)
 
-    def feasible(i):
+    def feasible(alpha):
         for k, (a, b) in enumerate(pairs):
-            if ok_from[k] > i:
-                if not _alpha_ok(ig, a, b, wlo, cands[i], gap, cost):
+            if ok_from[k] > alpha:
+                if not _alpha_ok(ig, a, b, wlo, alpha, gap, cost):
                     return False
-                ok_from[k] = i
+                ok_from[k] = alpha
         return True
 
-    # gallop up from 0 (indices 0, 1, 3, 7, ...), then bisect the last gap
-    lo_i, hi_i = 0, 0
-    while not feasible(hi_i):
-        if hi_i == len(cands) - 1:
-            return None
-        lo_i, hi_i = hi_i + 1, min(2 * hi_i + 1, len(cands) - 1)
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if feasible(mid):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    return _back(cands[lo_i], scale)
+    def least(vals):
+        # the least feasible of the sorted vals: gallop up (indices 0, 1, 3, 7, ...), then bisect
+        lo_i, hi_i = 0, 0
+        while not feasible(vals[hi_i]):
+            if hi_i == len(vals) - 1:
+                return None
+            lo_i, hi_i = hi_i + 1, min(2 * hi_i + 1, len(vals) - 1)
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i) // 2
+            if feasible(vals[mid]):
+                hi_i = mid
+            else:
+                lo_i = mid + 1
+        return vals[lo_i]
+
+    c = least(range(0, top + 1, step))
+    if c:  # the answer lies in (c - step, c]
+        c = least(sorted({c - step + step * i // j for j in range(1, n + 1) for i in range(1, j + 1)}))
+    return None if c is None else _back(c, scale)
 
 
 def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:

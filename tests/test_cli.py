@@ -50,7 +50,7 @@ def test_stats(capsys, trace_file, journey_fig):
 
 def test_stats_reads_stdin_linkstream(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("u,v,start,end\na,b,0,2\n"))
-    data = run_json(capsys, "stats", "-", "--latency", "1/10")
+    data = run_json(capsys, "stats", "-")
     assert data["n"] == 2 and data["lifetime"] == [0, 2]
 
 
@@ -516,6 +516,20 @@ def test_malformed_lifetime_exits_1(capsys, tmp_path, lifetime):
     assert main(["stats", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"tempnet: error: malformed interval trace: lifetime must be two times, got {lifetime!r}\n"
+
+
+@pytest.mark.parametrize("verb", [["stats"], ["convert", "--to", "snapshots"]])
+def test_a_lifetime_that_misses_a_run_exits_1(capsys, tmp_path, verb):
+    # the runs reach 0 and 5, outside the lifetime, so the file names no one trace
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "format": "intervals", "nodes": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "intervals": [[0, 1], [2, 5]]}], "lifetime": [2, 4],
+    }))
+    assert main([*verb, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tempnet: error: lifetime [2, 4] must be an interval that holds every run\n"
 
 
 @pytest.mark.parametrize("verb, message", [

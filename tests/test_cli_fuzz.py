@@ -142,7 +142,7 @@ def one(s):
 
 
 VERBS = st.one_of(
-    flags(lit("stats"), opt(lit("--latency"), one(TIME_TEXT))),
+    lit("stats"),
     flags(lit("convert", "--to"), one(st.sampled_from(["snapshots", "intervals", "linkstream", "dot"])),
           opt(lit("--latency"), one(TIME_TEXT))),
     flags(lit("closure"), one(KIND), opt(lit("--roundtrip")), opt(lit("--dot")),

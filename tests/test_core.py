@@ -165,9 +165,18 @@ def test_interval_intersection_keeps_the_edges_one_run_covers(ig):
     assert stable.edges == {e for e, ivs in ig.edges.items() if any(a <= lo and hi <= b for a, b in ivs)}
 
 
-def test_interval_intersection_of_an_empty_lifetime_keeps_every_edge():
-    g = IntervalGraph.build("abc", {("a", "b"): [(0, 1)], ("b", "c"): [(2, 3)]}, span=(1, 1))
-    assert intersection_graph(g).edges == {("a", "b"), ("b", "c")}
+def test_interval_graph_rejects_a_lifetime_that_misses_a_run():
+    # a lifetime is the trace's whole extent: one that cuts a run off describes another trace
+    runs = {("a", "b"): [(0, 1), (2, 5)]}
+    for edges, span in [(runs, (2, 4)), (runs, (0, 4)), (runs, (1, 5)), ({}, (4, 2)),
+                        ({("a", "b"): [(0, 1)], ("b", "c"): [(2, 3)]}, (1, 1))]:
+        with pytest.raises(InputError) as raised:
+            IntervalGraph.build("abc", edges, span=span)
+        assert str(raised.value) == (
+            f"lifetime [{span[0]}, {span[1]}] must be an interval that holds every run")
+    for span in [(0, 5), (-1, 6)]:
+        assert lifetime(IntervalGraph.build("ab", runs, span=span)) == span
+    assert lifetime(IntervalGraph.build("ab", {}, span=(1, 1))) == (1, 1)
 
 
 def test_snapshot_at(journey_fig, distance_fig):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import long_line, seq_of
+from conftest import long_line, seq_of, triangle_periodic
 from strategies import KINDS, interval_graphs, mixed, sequences
 from tempnet.core import IntervalGraph, edge, supports_hop, to_intervals
 from tempnet import closure, journeys
@@ -454,6 +454,67 @@ def test_interval_alpha_matches_the_fraction_candidate_search(g, kind, window):
         got = steady_progress_alpha(g, window, kind, pair)
         want = oracles.alpha_by_candidates(g, kind, window, pair)
         assert (got, type(got)) == (want, type(want))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    interval_graphs(min_n=5, max_n=6, latencies=(Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))),
+    KINDS,
+    st.lists(GRID_OR_FIFTHS, min_size=2, max_size=2, unique=True).map(sorted).map(tuple),
+    st.integers(0, 29),
+    st.none() | GRID_OR_FIFTHS.filter(lambda t: 0 < t < Fraction(8, 3)),
+)
+def test_interval_alpha_on_five_and_six_nodes_matches_the_fraction_candidate_search(
+        g, kind, window, k, opens):
+    # n = 5 or 6, so the search inside one whole tick tries every i / j with j up to 6.  A
+    # line through every node whose last edge opens late spreads that wait over its hops.
+    g = mixed(g, g.latency)
+    nodes = sorted(g.nodes)
+    if opens is not None:
+        edges = g.edges | {edge(x, y): [(0, Fraction(8, 3))] for x, y in zip(nodes, nodes[1:])}
+        edges[edge(nodes[-2], nodes[-1])] = [(opens, Fraction(8, 3))]
+        g = IntervalGraph.build(nodes, edges, g.latency, g.span)
+    pairs = list(itertools.permutations(nodes, 2))
+    for pair, w in ((None, window), (pairs[k % len(pairs)], window), ((nodes[0], nodes[-1]), g.span)):
+        got = steady_progress_alpha(g, w, kind, pair)
+        want = oracles.alpha_by_candidates(g, kind, w, pair)
+        assert (got, type(got)) == (want, type(want))
+
+
+@pytest.mark.parametrize("hops", [2, 3, 4, 5])
+def test_interval_alpha_spreads_one_wait_over_up_to_five_hops(hops):
+    # a line whose last edge opens at 1, padded to six nodes: hops equal waits of 1 / hops
+    line = "abcdef"[:hops + 1]
+    edges = {(x, y): [(0, 4)] for x, y in zip(line, line[1:])}
+    edges[line[-2], line[-1]] = [(1, 4)]
+    g = IntervalGraph.build("abcdef", edges, latency=0)
+    for kind in ("strict", "nonstrict"):
+        got = steady_progress_alpha(g, kind=kind, pair=("a", line[-1]))
+        assert got == oracles.alpha_by_candidates(g, kind, (0, 4), ("a", line[-1])) == Fraction(1, hops)
+
+
+def test_interval_alpha_builds_no_set_from_pairs_of_dates(monkeypatch, distance_fig):
+    # the least feasible alpha is found in whole ticks, then inside one tick: no date is read
+    thirds = IntervalGraph.build("abcd", {
+        ("a", "b"): [(0, Fraction(4, 3))], ("b", "c"): [(Fraction(1, 4), Fraction(7, 4))],
+        ("c", "d"): [(Fraction(2, 3), Fraction(8, 3))], ("a", "d"): [(Fraction(9, 4), 3)],
+    }, latency=Fraction(1, 3), span=(0, 3))
+    cases = [(g, window, kind, pair)
+             for g, windows, pairs in [
+                 (distance_fig, [None, (0, 10), (Fraction(1, 2), Fraction(37, 4))], [None, ("a", "d")]),
+                 (triangle_periodic(), [None, (5, 150)], [None, ("c", "a")]),
+                 (thirds, [None, (Fraction(1, 5), Fraction(11, 4))], [None, ("a", "c"), ("d", "b")]),
+             ]
+             for window in windows for kind in ("strict", "nonstrict") for pair in pairs]
+    before = [steady_progress_alpha(*case) for case in cases]
+    assert any(a is not None and a.denominator > 1 for a in before)
+
+    def no_dates(g):
+        raise AssertionError("steady progress read the characteristic dates")
+
+    monkeypatch.setattr(journeys, "characteristic_dates", no_dates)
+    after = [steady_progress_alpha(*case) for case in cases]
+    assert [(a, type(a)) for a in after] == [(a, type(a)) for a in before]
 
 
 def test_interval_alpha_may_spread_one_wait_over_hops():

@@ -129,14 +129,23 @@ def test_separators_and_disjoint_journeys_agree_in_the_interval_form(seq, kind):
         assert max_disjoint_journeys(g, s, t, kind) == max_disjoint_journeys(seq, s, t, kind)
 
 
+def renamed(g):
+    """(r, g with every node v as r[v]), r a bijection that reverses the nodes' sort order,
+    so every tie by node id flips."""
+    nodes = sorted(g.nodes)
+    r = {v: f"u{len(nodes) - i}" for i, v in enumerate(nodes)}
+    if isinstance(g, SnapshotSequence):
+        return r, SnapshotSequence(frozenset(r.values()), tuple(
+            frozenset(edge(r[u], r[v]) for u, v in snap) for snap in g.snapshots))
+    return r, IntervalGraph.build(r.values(), {(r[u], r[v]): ivs for (u, v), ivs in g.edges.items()},
+                                  g.latency, g.span)
+
+
 @settings(deadline=None)
 @given(sequences(max_n=6, max_delta=5), KINDS)
 def test_node_renaming_maps_every_node_valued_answer(seq, kind):
-    # a bijection that reverses the nodes' sort order, so every tie by node id flips
+    r, h = renamed(seq)
     nodes = sorted(seq.nodes)
-    r = {v: f"u{len(nodes) - i}" for i, v in enumerate(nodes)}
-    h = SnapshotSequence(frozenset(r.values()), tuple(
-        frozenset(edge(r[u], r[v]) for u, v in snap) for snap in seq.snapshots))
     assert ({frozenset(map(r.get, c)) for c in maximal_temporal_components(seq, kind)}
             == set(maximal_temporal_components(h, kind)))
     for closure in (strict_closure, nonstrict_closure):
@@ -146,6 +155,18 @@ def test_node_renaming_maps_every_node_valued_answer(seq, kind):
     for s, t in itertools.permutations(nodes, 2):
         assert min_temporal_separator(seq, s, t, kind) == min_temporal_separator(h, r[s], r[t], kind)
         assert max_disjoint_journeys(seq, s, t, kind) == max_disjoint_journeys(h, r[s], r[t], kind)
+
+
+@settings(deadline=None)
+@given(sequences(max_n=5, max_delta=5)
+       | interval_graphs(latencies=LATENCIES).map(lambda g: mixed(g, g.latency)), KINDS)
+def test_node_renaming_keeps_steady_progress(g, kind):
+    # alpha is a duration: renaming keeps its value and type, over all pairs and for each pair
+    r, h = renamed(g)
+    for pair in [None, *itertools.permutations(sorted(g.nodes), 2)]:
+        got = steady_progress_alpha(g, kind=kind, pair=pair)
+        mapped = steady_progress_alpha(h, kind=kind, pair=pair and (r[pair[0]], r[pair[1]]))
+        assert (mapped, type(mapped)) == (got, type(got))
 
 
 @settings(deadline=None)
