@@ -240,3 +240,97 @@ def test_window_series_map_under_time_scale_and_shift(g, mix, metric, c, k, widt
     mapped = sliding_metric(h, metric, c * width * span, c * step * span).points
     keep = metric == "tc"  # is the window connected: a yes or no, not a duration
     assert mapped == tuple((c * s + k, x if keep else scaled(x, c)) for s, x in got)
+
+
+@settings(deadline=None)
+@given(sequences(max_n=5, max_delta=6), KINDS)
+def test_queries_map_between_a_sequence_and_its_interval_form(seq, kind):
+    """The map between a sequence and ``to_intervals(seq)`` (latency 1, lifetime [0, delta]):
+
+    * a hop in snapshot s is a hop at time s that arrives by s + 1, so an earliest
+      arrival by snapshot a is an arrival at a + 1 there, with the same hop times,
+      parents and hop counts;
+    * "just after t" on the sequence (departures from t + 1) is the interval form's
+      start time t + 1: distances and eccentricities are equal there;
+    * arriving by snapshot t is arriving by t + 1: latest departures are equal for u != v
+      (for u == v each returns its own time);
+    * a shortest journey from t0 has the same hops there, and lasts 1 longer: a
+      sequence's journeys carry latency None, the interval form's 1.
+    """
+    g = to_intervals(seq)
+    nodes = sorted(seq.nodes)
+    for t in range(seq.delta):
+        assert temporal_diameter_at(seq, t, kind) == temporal_diameter_at(g, t + 1, kind)
+        for u in nodes:
+            assert temporal_distance(seq, u, t, kind) == temporal_distance(g, u, t + 1, kind)
+            assert eccentricity(seq, u, t, kind) == eccentricity(g, u, t + 1, kind)
+            for v in nodes:
+                latest = latest_departure(seq, u, v, t, kind)
+                assert latest_departure(g, u, v, t + 1, kind) == (t + 1 if u == v else latest)
+    for t0 in range(seq.delta + 1):
+        for u in nodes:
+            table, mapped = earliest_arrival(seq, u, t0, kind), earliest_arrival(g, u, t0, kind)
+            assert table.latency is None and mapped.latency == 1
+            assert mapped.arrival == {v: a if v == u else a + 1 for v, a in table.arrival.items()}
+            assert (mapped.parent, mapped.hops) == (table.parent, table.hops)
+            for v in nodes:
+                got, other = shortest_journey(seq, u, v, t0, kind), shortest_journey(g, u, v, t0, kind)
+                assert (got is None) == (other is None)
+                if got is not None:
+                    assert (got.latency, other.latency) == (None, 1)
+                    assert other.hops == got.hops and other.hop_count == got.hop_count
+                    assert other.duration == got.duration + (1 if got.hops else 0)
+
+
+@settings(deadline=None)
+@given(interval_graphs(latencies=LATENCIES), st.booleans(), KINDS, SCALES, SHIFTS,
+       st.integers(0, 24).map(lambda i: Fraction(i, 24)), st.none() | st.integers(0, 24))
+def test_earliest_arrival_tables_map_under_time_scale_and_shift(g, mix, kind, c, k, at, hi):
+    # the public interval search computes on Fraction: every table field maps with the times
+    g = mixed(g) if mix else g
+    h = affine(g, c, k)
+    lo, end = g.span
+    t0 = lo + at * (end - lo)
+    dep_hi = None if hi is None else lo + Fraction(hi, 24) * (end - lo)
+    for u in sorted(g.nodes):
+        table = earliest_arrival(g, u, t0, kind, dep_hi)
+        mapped = earliest_arrival(h, u, c * t0 + k, kind, None if dep_hi is None else c * dep_hi + k)
+        assert mapped.latency == c * table.latency
+        assert mapped.arrival == {v: c * a + k for v, a in table.arrival.items()}
+        assert mapped.parent == {v: (p, c * s + k) for v, (p, s) in table.parent.items()}
+        assert mapped.hops == table.hops
+        for v in sorted(g.nodes):
+            got, other = table.journey_to(v), mapped.journey_to(v)
+            assert (got is None) == (other is None)
+            if got is not None:
+                assert other.hops == tuple((x, y, c * s + k) for x, y, s in got.hops)
+
+
+@settings(deadline=None)
+@given(sequences(max_n=6, max_delta=5), KINDS)
+def test_node_renaming_maps_journeys_and_distances(seq, kind):
+    # ties break by node id, so a witness may change: arrivals, durations and hop counts may not
+    r, h = renamed(seq)
+    nodes = sorted(seq.nodes)
+    for t in range(seq.delta + 1):
+        for u in nodes:
+            table, mapped = earliest_arrival(seq, u, t, kind), earliest_arrival(h, r[u], t, kind)
+            assert mapped.arrival == {r[v]: a for v, a in table.arrival.items()}
+            assert mapped.hops == {r[v]: n for v, n in table.hops.items()}
+            if t < seq.delta:
+                assert temporal_distance(h, r[u], t, kind) == {
+                    r[v]: d for v, d in temporal_distance(seq, u, t, kind).items()}
+            for v in nodes:
+                if t < seq.delta:
+                    assert latest_departure(h, r[u], r[v], t, kind) == latest_departure(seq, u, v, t, kind)
+                got, other = shortest_journey(seq, u, v, t, kind), shortest_journey(h, r[u], r[v], t, kind)
+                assert (got is None) == (other is None)
+                if got is not None:
+                    assert (other.hop_count, other.arrival) == (got.hop_count, got.arrival)
+                if v != u and t < seq.delta:
+                    got = fastest_journey(seq, u, v, (t, seq.delta - 1), kind)
+                    other = fastest_journey(h, r[u], r[v], (t, seq.delta - 1), kind)
+                    assert (got is None) == (other is None)
+                    if got is not None:
+                        assert (other.duration, other.departure, other.hop_count) == (
+                            got.duration, got.departure, got.hop_count)
