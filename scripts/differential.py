@@ -3,6 +3,7 @@
 
     python3 scripts/differential.py --base REV [--cases 300] [--seed 0]
     python3 scripts/differential.py --hash-seeds 0,1,2,3 [--cases 300] [--seed 0]
+    python3 scripts/differential.py --models [--cases 300] [--seed 0]
 
 With ``--base``, unpacks ``git archive REV src`` into a temporary directory
 and runs the same seeded cases twice, in one subprocess per tree: the base
@@ -57,6 +58,20 @@ They call
   process: random options on the case's trace (a JSON file, a link-stream
   CSV or stdin), now and then with ``--out FILE``, plus one usage error or
   ``--help`` per case.
+
+With ``--models``, draws ``--cases`` random snapshot sequences as the cases
+above do, and checks this checkout's ``src/`` against itself across the two
+time models: each sequence's answers, mapped to what its interval form
+(``to_intervals``, latency 1) should answer, against that form's answers.
+On the sequence, a time t that journeys leave just after, or arrive by, is
+t + 1 in the interval form; an earliest arrival by snapshot a is an arrival
+at a + 1 there, with the same parents and hop counts; and a shortest journey
+keeps its hops and lasts 1 longer (a sequence's journeys carry latency None).
+The calls are ``temporal_diameter_at``, ``temporal_distance``,
+``eccentricity`` and ``latest_departure`` at every t in 0..delta - 1, and
+``earliest_arrival`` and ``shortest_journey`` from every t0 in 0..delta, for
+every node or ordered pair and both kinds.  Times compare as values (an int
+and a ``Fraction`` of one value are equal); errors compare by type and message.
 
 Each result is compared as a value together with its types, and each raised
 error by its type and message; each CLI call by its exit code, stdout,
@@ -503,6 +518,85 @@ def report(title: str, runs: list[tuple[str, list]]) -> int:
     return 1 if groups else 0
 
 
+# ---------------------------------------------------------------- the two time models
+
+
+def plain(x):
+    """x with every time as its exact value's string, so an int and a Fraction of one value
+    agree, and a journey as its hops, hop count and duration."""
+    from tempnet.journeys import Journey
+
+    if isinstance(x, Journey):
+        return {"hops": plain(x.hops), "hop_count": x.hop_count, "duration": plain(x.duration)}
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return str(Fraction(x))
+    return x if x is None or isinstance(x, str) else repr(x)
+
+
+def model_runs(cases: int, seed: int) -> list[tuple[str, list]]:
+    """The ``--models`` runs: each call's sequence answer mapped to the interval form's
+    conventions, and the interval form's answer, as records ``report`` compares."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from tempnet import journeys as J
+    from tempnet.core import to_intervals
+
+    def foremost(g, u, t0, kind, gain):
+        table = J.earliest_arrival(g, u, t0, kind)
+        arrival = {v: a if v == u else a + gain for v, a in table.arrival.items()}
+        return {"arrival": arrival, "parent": table.parent, "hops": table.hops}
+
+    def shortest(g, u, v, t0, kind, gain):
+        j = J.shortest_journey(g, u, v, t0, kind)
+        out = plain(j)
+        if j is not None and j.hops:
+            out["duration"] = plain(j.duration + gain)
+        return out
+
+    runs: tuple[list, list] = ([], [])
+
+    def record(name, where, *calls):
+        for out, call in zip(runs, calls):
+            try:
+                result = ["value", plain(call())]
+            except Exception as e:  # an error is an outcome to compare too
+                result = ["error", type(e).__name__, str(e)]
+            out.append([name, where, result])
+
+    rng = random.Random(seed)
+    for case in range(cases):
+        seq = random_sequence(rng)
+        g, nodes = to_intervals(seq), sorted(seq.nodes)
+        for kind, t in itertools.product(KINDS, range(seq.delta)):
+            where = f"case {case} {kind} t={t}"
+            record("temporal_diameter_at", where, partial(J.temporal_diameter_at, seq, t, kind),
+                   partial(J.temporal_diameter_at, g, t + 1, kind))
+            for u in nodes:
+                for name in ("temporal_distance", "eccentricity"):
+                    fn = getattr(J, name)
+                    record(name, f"{where} from {u}", partial(fn, seq, u, t, kind),
+                           partial(fn, g, u, t + 1, kind))
+                for v in nodes:
+                    # a journey u ~> u departs at the bound itself: t here, t + 1 there
+                    expect = ((lambda: t + 1) if u == v
+                              else partial(J.latest_departure, seq, u, v, t, kind))
+                    record("latest_departure", f"{where} {u}->{v}", expect,
+                           partial(J.latest_departure, g, u, v, t + 1, kind))
+        for kind, t0 in itertools.product(KINDS, range(seq.delta + 1)):
+            where = f"case {case} {kind} t0={t0}"
+            for u in nodes:
+                record("earliest_arrival", f"{where} from {u}",
+                       partial(foremost, seq, u, t0, kind, 1), partial(foremost, g, u, t0, kind, 0))
+                for v in nodes:
+                    record("shortest_journey", f"{where} {u}->{v}",
+                           partial(shortest, seq, u, v, t0, kind, 1),
+                           partial(shortest, g, u, v, t0, kind, 0))
+    return [("sequence, mapped", runs[0]), ("interval form", runs[1])]
+
+
 def hash_seed_list(text: str) -> list[int]:
     seeds = [int(x) for x in text.split(",")]
     if len(seeds) < 2:
@@ -516,15 +610,21 @@ def main() -> int:
     ap.add_argument("--base", help="commit to compare with (anything git rev-parse takes)")
     ap.add_argument("--hash-seeds", type=hash_seed_list, metavar="S,S,...",
                     help="compare runs of this checkout under these PYTHONHASHSEED values")
-    ap.add_argument("--cases", type=int, default=300, help="random graphs, half of each model")
+    ap.add_argument("--models", action="store_true",
+                    help="compare each random sequence's answers with its interval form's")
+    ap.add_argument("--cases", type=int, default=300,
+                    help="random graphs, half of each model (with --models, sequences)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         worker(args.worker, args.cases, args.seed)
         return 0
-    if bool(args.base) == bool(args.hash_seeds):
-        ap.error("give one of --base and --hash-seeds")
+    if sum(map(bool, (args.base, args.hash_seeds, args.models))) != 1:
+        ap.error("give one of --base, --hash-seeds and --models")
+    if args.models:
+        return report(f"sequences vs their interval forms, {args.cases} sequences, "
+                      f"seed {args.seed}", model_runs(args.cases, args.seed))
     if args.hash_seeds:
         runs = [(f"hash seed {h}", run_tree(ROOT / "src", args, h)) for h in args.hash_seeds]
         return report(f"this checkout under hash seeds {','.join(map(str, args.hash_seeds))}, "

@@ -62,6 +62,13 @@ class _Parser(argparse.ArgumentParser):
         # a time such as -1/2 is a negative number, not an option
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
+    # an unknown argument is reported by the parser that met it, with its usage: a verb's own
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     # usage problems are input problems: exit 1 (not argparse's 2), one prefix for every verb
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -192,8 +199,7 @@ def _cmd_journey(args):
     if mode == "validate":
         if not args.journey:
             raise InputError("--journey FILE required for validate")
-        latency = None if isinstance(g, SnapshotSequence) else g.latency
-        j = journey_from_json(_read_text(args.journey), latency=latency)
+        j = journey_from_json(_read_text(args.journey))  # its latency plays no part in the check
         return {"valid": validate_journey(g, j)}
     if not args.src:
         raise InputError("--from required")

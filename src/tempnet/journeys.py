@@ -6,16 +6,14 @@ one), non-decreasing times for non-strict journeys.  This module computes
 foremost (earliest-arrival), shortest (fewest-hops) and fastest
 (smallest-duration) journeys, temporal distance / eccentricity / diameter,
 latest departures (temporal views), the steady-progress parameter, and the
-desk-scale disjoint-journey and separator brute forces.  Each journey
-metric and the steady-progress search has one kernel, written for interval
-graphs; a snapshot sequence runs it on its integer ticks (``_ticks``).  The
-fastest sweep is one loop for both models: only its candidate departures
-differ (``_shifted_grid``).
-Every interval search but the public ``earliest_arrival`` runs on an integer
-view (``_in_ticks``, ``IntervalGraph._at_scale``) and maps back to
-``Fraction`` at the end.  Latest departure is earliest arrival reversed.
-The disjoint and separator searches cut the integer view to each candidate
-node set (``core._induced``) and run one earliest-arrival search on it.
+desk-scale disjoint-journey and separator brute forces.  Each has one kernel,
+written for interval graphs and run on an integer view, and the time-model
+adapter ``_TimeModel``, made once per public call, is the one place where the
+two models differ: it reads and checks the call's times, picks the view (a
+sequence's ``_ticks``, else ``IntervalGraph._at_scale``) and maps results
+back; only the public interval ``earliest_arrival`` searches ``Fraction``
+times.  Latest departure is earliest arrival reversed, and the disjoint and
+separator searches cut the view to each candidate node set (``core._induced``).
 
 Discrete time conventions: arrival of a journey is the index of its last hop
 and duration is t_k - t_1.  ``temporal_distance(g, u, t)`` measures journeys
@@ -57,9 +55,83 @@ from .errors import InputError, RangeError
 INF = math.inf
 
 
-def _check_node(g: TemporalGraph, v: str):
-    if v not in g.nodes:
-        raise InputError(f"unknown node {v!r}")
+def _check_node(g: TemporalGraph, *nodes: str):
+    for v in nodes:
+        if v not in g.nodes:
+            raise InputError(f"unknown node {v!r}")
+
+
+class _TimeModel:
+    """The one place where the two time models differ; each public call makes one.
+
+    A snapshot sequence runs on ``_ticks`` (snapshot i is presence over [i, i+1),
+    latency 1) with no scale and takes integer times in 0..delta - offset.  Offset 1
+    marks a time t that journeys leave just after or arrive by: none starts there,
+    so messages call it "time", and it is tick t + 1.  A non-strict hop leaves no
+    idle behind it, and journeys carry latency None.  An interval graph takes any
+    time in its lifetime and runs on ``_at_scale``'s view at lcm(D * factor, 2q) for
+    the call's times of denominator q; a tick x maps back to Fraction(x, scale).
+    """
+
+    def __init__(self, g: TemporalGraph):
+        self.g, self.seq, self.scale = g, isinstance(g, SnapshotSequence), None
+        self.latency = None if self.seq else g.latency  # what returned journeys carry
+
+    @property
+    def exact(self) -> IntervalGraph:  # the graph on its own times, built only when asked for
+        return self.g._ticks if self.seq else self.g
+
+    def read(self, t: Time, what: str) -> Time:
+        return _tick(t, what) if self.seq else as_time(t)
+
+    def whole(self, t: Time) -> bool:
+        """Is t a time of the model: any time, or an integer on a sequence?"""
+        return not self.seq or as_time(t).denominator == 1
+
+    def bounds(self, offset: int = 0) -> tuple[Time, Time, str]:
+        """(lo, hi, how messages name them): 0..delta - offset, or the lifetime."""
+        lo, hi = (0, self.g.delta - offset) if self.seq else lifetime(self.g)
+        return lo, hi, f"0..{hi}" if self.seq else f"lifetime [{lo}, {hi}]"
+
+    def at(self, t: Time, what: str = "start time", offset: int = 0) -> Time:
+        what = "time" if self.seq and offset else what
+        t, (lo, hi, where) = self.read(t, what), self.bounds(offset)
+        if not lo <= t <= hi:
+            raise RangeError(f"{what} {t} outside {where}")
+        return t
+
+    def ticks(self, *times: Time, offset=0, factor=1) -> tuple[IntervalGraph, list[int]]:
+        if self.seq:
+            return self.g._ticks, [int(t) + offset for t in times]
+        scale = self.scale = math.lcm(self.g._unit * factor, *(2 * t.denominator for t in times))
+        return self.g._at_scale(scale), [t.numerator * (scale // t.denominator) for t in times]
+
+    def back(self, x: int) -> Time:
+        return x if self.scale is None else Fraction(x, self.scale)
+
+    def reported(self, table: ReachabilityTable) -> ReachabilityTable:
+        if self.seq:  # a search on ``exact``: an arrival by tick t + 1 is one by snapshot t
+            arrival = {v: t - 1 for v, t in table.arrival.items()} | {table.source: table.start}
+            table = replace(table, latency=None, arrival=arrival)
+        return table
+
+    def grid(self, lo: Time, hi: Time) -> tuple[IntervalGraph, list[int]]:
+        """(view, the sweeps' candidate departures in [lo, hi]): every snapshot index, or the
+        characteristic dates and lo, hi, each minus k * zeta for k <= n + 1."""
+        view, (ilo, ihi) = self.ticks(lo, hi)
+        if self.seq:
+            return view, list(range(ilo, ihi + 1))
+        z, n, dates = view.latency, len(view.nodes), characteristic_dates(view)
+        return view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
+                             if ilo <= d - k * z <= ihi})
+
+    def fine(self, n: int) -> int:
+        """Ticks per grid tick that hold every p / j, j <= n; a sequence's waits are whole."""
+        return 1 if self.seq else math.lcm(*range(1, n + 1))
+
+    def hop_cost(self, zeta: int, strict: bool) -> int:
+        """Ticks from a hop's departure to the idle after it, as in Journey.max_wait."""
+        return int(strict) if self.seq else zeta
 
 
 @dataclass(frozen=True)
@@ -107,17 +179,16 @@ class Journey:
 def validate_journey(g: TemporalGraph, j: Journey) -> bool:
     """True iff j is a valid journey of its kind in g."""
     strict = _check_kind(j.kind)
-    discrete = isinstance(g, SnapshotSequence)
-    ig = g._ticks if discrete else g
+    m = _TimeModel(g)
+    ig = m.exact
     for u, v, _ in j.hops:
-        _check_node(g, u)
-        _check_node(g, v)
+        _check_node(g, u, v)
         if edge(u, v) not in ig.edges:
             raise InputError(f"edge {u!r}-{v!r} never present in the trace")
     for i in range(len(j.hops) - 1):
         if j.hops[i][1] != j.hops[i + 1][0]:
             return False  # not a walk
-    if discrete and any(as_time(t).denominator != 1 for _, _, t in j.hops):
+    if not all(m.whole(t) for _, _, t in j.hops):
         return False  # on ticks, a hop at 1/2 would fit inside a run
     if not all(supports_hop(ig, edge(u, v), t) for u, v, t in j.hops):
         return False
@@ -168,57 +239,17 @@ def earliest_arrival(
 
     arrival[v] is minimal; ties are broken by fewer hops, then by node id, so
     parent maps are deterministic.  Unreachable nodes are simply absent.
-    Both models share one kernel: a snapshot sequence runs on its integer
-    ticks (t0 and dep_hi must be integers), and an arrival by tick t + 1 is
-    reported as arrival by snapshot t.
+    Both models share one kernel, on ``_TimeModel.exact``: a sequence's integer
+    ticks (t0 and dep_hi must be integers; an arrival by tick t + 1 is reported
+    as arrival by snapshot t), or an interval graph's own ``Fraction`` times.
     """
     _check_kind(kind)
     _check_node(g, src)
-    t0 = _start_time(g, t0)
-    discrete = isinstance(g, SnapshotSequence)
+    m = _TimeModel(g)
+    t0 = m.at(t0)
     if dep_hi is not None:
-        dep_hi = _tick(dep_hi, "departure bound") if discrete else as_time(dep_hi)
-    if discrete:
-        table = _foremost(g._ticks, src, t0, kind, dep_hi)
-        # an arrival by tick t + 1 is an arrival by snapshot t
-        arrival = {v: t - 1 for v, t in table.arrival.items()}
-        arrival[src] = t0
-        return replace(table, latency=None, arrival=arrival)
-    return _foremost(g, src, t0, kind, dep_hi)
-
-
-def _start_time(g: TemporalGraph, t0: Time, what: str = "start time", offset: int = 0) -> Time:
-    """A query time: an integer in 0..delta - offset on a sequence, else in the lifetime."""
-    if isinstance(g, SnapshotSequence):
-        t0, last = _tick(t0, what), g.delta - offset
-        if not 0 <= t0 <= last:
-            raise RangeError(f"{what} {t0} outside 0..{last}")
-        return t0
-    t0, (lo, hi) = as_time(t0), lifetime(g)
-    if not lo <= t0 <= hi:
-        raise RangeError(f"{what} {t0} outside lifetime [{lo}, {hi}]")
-    return t0
-
-
-def _in_ticks(g: IntervalGraph, *times: Fraction) -> tuple[int, IntervalGraph, list[int]]:
-    """(scale, view, ticks), the one rescale: D (``_unit``), or lcm(D, 2q) for a time whose
-    denominator q does not divide D/2; results map back with Fraction(x, scale)."""
-    scale = math.lcm(g._unit, *(2 * t.denominator for t in times))
-    return scale, g._at_scale(scale), [t.numerator * (scale // t.denominator) for t in times]
-
-
-def _ticks_for(g: TemporalGraph, t: Time, offset: int) -> tuple[Optional[int], IntervalGraph, int]:
-    """(scale, view, tick) of a checked time: a sequence's ``_ticks`` (scale None) at t + offset
-    (1 for distances and latest departures, 0 for shortest journeys), or ``_in_ticks``."""
-    if isinstance(g, SnapshotSequence):
-        return None, g._ticks, t + offset
-    scale, view, (tick,) = _in_ticks(g, t)
-    return scale, view, tick
-
-
-def _back(x: int, scale: Optional[int]) -> Time:
-    """A time in ticks of 1/scale in graph time; a sequence's ticks (scale None) stay ints."""
-    return x if scale is None else Fraction(x, scale)
+        dep_hi = m.read(dep_hi, "departure bound")
+    return m.reported(_foremost(m.exact, src, t0, kind, dep_hi))
 
 
 def _foremost(ig, src, t0, kind, dep_hi, stop=None):
@@ -251,19 +282,11 @@ def _foremost(ig, src, t0, kind, dep_hi, stop=None):
         if y == stop:
             break  # a popped node's arrival, parent and hop count are final
         relax_from(y, arr, h, False)
-    out_arrival = dict(arrival)
-    out_arrival[src] = t0
-    return ReachabilityTable(src, t0, kind, zeta, out_arrival, parent, hcount, dep_hi)
+    arrival[src] = t0
+    return ReachabilityTable(src, t0, kind, zeta, arrival, parent, hcount, dep_hi)
 
 
-def _distance_ticks(g: TemporalGraph, t: Time, kind: str) -> tuple[Optional[int], IntervalGraph, int]:
-    """``_ticks_for`` a distance's time, which journeys leave just after, with its kind checked."""
-    _check_kind(kind)
-    discrete = isinstance(g, SnapshotSequence)
-    return _ticks_for(g, _start_time(g, t, "time" if discrete else "start time", 1), 1)
-
-
-def _eccentricity(scale: Optional[int], view: IntervalGraph, start: int, kind: str, sources) -> Time:
+def _eccentricity(m: _TimeModel, view: IntervalGraph, start: int, kind: str, sources) -> Time:
     """The largest distance from any of sources on an integer view, mapped back to graph
     time: int 0 when every node is reached at start, inf once a source misses one."""
     worst = 0
@@ -272,28 +295,32 @@ def _eccentricity(scale: Optional[int], view: IntervalGraph, start: int, kind: s
         if len(arrival) < len(view.nodes):
             return INF
         worst = max(worst, max(arrival.values()) - start)
-    return worst and _back(worst, scale)
+    return worst and m.back(worst)
 
 
 def temporal_distance(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> dict[str, Time]:
     """arrival - t for journeys leaving just after t (discrete: departures >= t+1),
     keyed in sorted node order whatever the hash seed."""
     _check_node(g, u)
-    scale, view, start = _distance_ticks(g, t, kind)
+    _check_kind(kind)
+    m = _TimeModel(g)
+    view, (start,) = m.ticks(m.at(t, offset=1), offset=1)
     arrival = _foremost(view, u, start, kind, None).arrival
-    return {v: 0 if v == u else _back(arrival[v] - start, scale) if v in arrival else INF
+    return {v: 0 if v == u else m.back(arrival[v] - start) if v in arrival else INF
             for v in sorted(g.nodes)}
 
 
 def eccentricity(g: TemporalGraph, u: str, t: Time, kind: str = "strict") -> Time:
     """Largest temporal distance from u at t; int 0 when every distance is 0."""
-    _check_node(g, u)
-    return _eccentricity(*_distance_ticks(g, t, kind), kind, [u])
+    return max(temporal_distance(g, u, t, kind).values()) or 0
 
 
 def temporal_diameter_at(g: TemporalGraph, t: Time, kind: str = "strict") -> Time:
     """Largest eccentricity at t, sources in name order; stops at the first inf."""
-    return _eccentricity(*_distance_ticks(g, t, kind), kind, sorted(g.nodes))
+    _check_kind(kind)
+    m = _TimeModel(g)
+    view, (start,) = m.ticks(m.at(t, offset=1), offset=1)
+    return _eccentricity(m, view, start, kind, sorted(g.nodes))
 
 
 def latest_departure(
@@ -301,23 +328,21 @@ def latest_departure(
 ) -> Optional[Time]:
     """Max departure time of a journey u ~> v arriving by t (the temporal view).
 
-    t lies in 0..delta-1 on a sequence and inside the lifetime otherwise.
-    Latest departure is earliest arrival in reversed time: the foremost
-    journey v ~> u from -t on the integer view's ``_reversed`` mirror arrives
-    at -d for the latest departure d, and that search ends once u is settled.
-    A snapshot sequence runs on its integer ticks (t must be an integer),
-    where arriving by snapshot t is arriving by tick t + 1 and departures are
-    the same.
+    t lies in 0..delta-1 on a sequence (an integer: arriving by snapshot t is
+    arriving by tick t + 1) and inside the lifetime otherwise.  Latest departure
+    is earliest arrival in reversed time: the foremost journey v ~> u from -t on
+    the integer view's ``_reversed`` mirror arrives at -d for the latest
+    departure d, and that search ends once u is settled.
     """
     _check_kind(kind)
-    _check_node(g, u)
-    _check_node(g, v)
-    t = _start_time(g, t, "time", 1)
+    _check_node(g, u, v)
+    m = _TimeModel(g)
+    t = m.at(t, "time", 1)
     if u == v:
         return t
-    scale, view, tick = _ticks_for(g, t, 1)
+    view, (tick,) = m.ticks(t, offset=1)
     arrival = _foremost(view._reversed, v, -tick, kind, None, stop=u).arrival
-    return None if u not in arrival else _back(-arrival[u], scale)
+    return None if u not in arrival else m.back(-arrival[u])
 
 
 def shortest_journey(
@@ -325,17 +350,15 @@ def shortest_journey(
 ) -> Optional[Journey]:
     """Fewest-hops journey departing at or after t0 (checked as in earliest_arrival), on ticks."""
     strict = _check_kind(kind)
-    _check_node(g, u)
-    _check_node(g, v)
-    scale, view, t0 = _ticks_for(g, _start_time(g, t0), 0)
-    latency, g = None if scale is None else g.latency, view
+    _check_node(g, u, v)
+    m = _TimeModel(g)
+    g, (t0,) = m.ticks(m.at(t0))  # the search runs on the view
     if u == v:
-        return Journey((), kind, latency)
+        return Journey((), kind, m.latency)
     zeta = g.latency
     layer: dict[str, Time] = {u: t0}  # node -> earliest arrival using exactly h hops
     back: dict[tuple[str, int], tuple[str, Time]] = {}
-    n = len(g.nodes)
-    for h in range(1, n):
+    for h in range(1, len(g.nodes)):
         nxt: dict[str, Time] = {}
         for x in sorted(layer):
             arr = layer[x]
@@ -353,9 +376,9 @@ def shortest_journey(
             cur, hh = v, h
             while hh > 0:
                 prev, s = back[(cur, hh)]
-                hops.append((prev, cur, _back(s, scale)))
+                hops.append((prev, cur, m.back(s)))
                 cur, hh = prev, hh - 1
-            return Journey(tuple(reversed(hops)), kind, latency)
+            return Journey(tuple(reversed(hops)), kind, m.latency)
         layer = nxt
         if not layer:
             break
@@ -373,8 +396,8 @@ def fastest_journey(
 
     The window is clipped to the lifetime (0..delta-1 on a sequence); one
     that is inverted or misses it raises RangeError.  Ties go to the earlier
-    departure.  One sweep serves both models, on ``_shifted_grid``'s
-    integer view: it tries candidate departures d in order.  A sequence's
+    departure.  One sweep serves both models, on the integer view of
+    ``_TimeModel.grid``: it tries candidate departures d in order.  A sequence's
     candidates are every snapshot index in the window (a discrete journey
     departs at one); an interval graph's are the characteristic dates and
     window bounds minus k * zeta, and the earliest optimal departure is one
@@ -391,19 +414,16 @@ def fastest_journey(
     journey, whose hop times then map back to graph time.
     """
     strict = _check_kind(kind)
-    _check_node(g, u)
-    _check_node(g, v)
-    discrete = isinstance(g, SnapshotSequence)
-    lo, hi = (0, g.delta - 1) if discrete else lifetime(g)
-    wlo, whi = (lo, hi) if window is None else (
-        [_tick(t, "window bound") for t in window] if discrete else map(as_time, window))
+    _check_node(g, u, v)
+    m = _TimeModel(g)
+    lo, hi, where = m.bounds(1)
+    wlo, whi = (lo, hi) if window is None else (m.read(t, "window bound") for t in window)
     if not max(wlo, lo) <= min(whi, hi):
-        raise RangeError(f"window [{wlo}, {whi}] holds no departure time in " +
-                         (f"0..{hi}" if discrete else f"lifetime [{lo}, {hi}]"))
+        raise RangeError(f"window [{wlo}, {whi}] holds no departure time in {where}")
     wlo, whi = max(wlo, lo), min(whi, hi)
     if u == v:
-        return Journey((), kind, None if discrete else g.latency)
-    (scale, ig, grid), i = _shifted_grid(g, wlo, whi), 0  # whi is the last candidate
+        return Journey((), kind, m.latency)
+    (ig, grid), i = m.grid(wlo, whi), 0  # whi is the last candidate
     # a strict journey takes zeta per hop; a non-strict one may take zeta in all
     floor = ig.latency * (_footprint_hops(ig, u, v) if strict else 1)
     best: Optional[tuple[int, int]] = None  # (arrival - departure, departure) in ticks
@@ -422,8 +442,7 @@ def fastest_journey(
         return None
     hops = _foremost(ig, u, best[1], kind, grid[-1]).journey_to(v).hops
     assert hops[0][2] == best[1]
-    return Journey(tuple((x, y, _back(s, scale)) for x, y, s in hops), kind,
-                   None if discrete else g.latency)
+    return Journey(tuple((x, y, m.back(s)) for x, y, s in hops), kind, m.latency)
 
 
 def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
@@ -434,20 +453,6 @@ def _footprint_hops(g: IntervalGraph, u: str, v: str) -> int:
         seen |= frontier
         hops += 1
     return hops
-
-
-def _shifted_grid(g: TemporalGraph, lo: Time, hi: Time) -> tuple[Optional[int], IntervalGraph, list[int]]:
-    """(scale, view, grid): the sweeps' integer view and candidates.  On a sequence the
-    view is ``_ticks`` (scale None) and the grid every snapshot index in [lo, hi].  On an
-    interval graph the grid holds the characteristic dates and lo, hi, each minus
-    k * zeta for k <= n + 1, inside [lo, hi]: the fastest sweep's departures and the
-    foremost-tree segment ends, in ticks of ``_in_ticks``'s view for lo and hi."""
-    if isinstance(g, SnapshotSequence):
-        return None, g._ticks, list(range(lo, hi + 1))
-    scale, view, (ilo, ihi) = _in_ticks(g, lo, hi)
-    z, n, dates = view.latency, len(g.nodes), characteristic_dates(view)
-    return scale, view, sorted({d - k * z for d in (*dates, ilo, ihi) for k in range(n + 2)
-                                if ilo <= d - k * z <= ihi})
 
 
 def foremost_tree_intervals(
@@ -462,7 +467,7 @@ def foremost_tree_intervals(
     the midpoint of every elementary segment of the zeta-shifted characteristic
     grid, and equal adjacent segments are merged.  Boundary instants are never
     sampled, so the reported half-open intervals are exact on that grid.
-    Searches run on ``_shifted_grid``'s integer view; the window must lie
+    Searches run on ``_TimeModel.grid``'s integer view; the window must lie
     inside the lifetime.  A snapshot sequence is rejected: ``to_intervals``
     converts it.
     """
@@ -477,7 +482,8 @@ def foremost_tree_intervals(
     if not lo <= wlo < whi <= hi:
         raise RangeError(f"window [{wlo}, {whi}) outside lifetime [{lo}, {hi}]")
     _check_kind(kind)
-    scale, view, grid = _shifted_grid(g, wlo, whi)
+    m = _TimeModel(g)
+    view, grid = m.grid(wlo, whi)
     out: list[tuple[tuple[int, int], dict[str, str]]] = []
     for a, b in zip(grid, grid[1:]):
         table = _foremost(view, src, (a + b) // 2, kind, None)  # every tick is even
@@ -486,7 +492,7 @@ def foremost_tree_intervals(
             out[-1] = ((out[-1][0][0], b), shape)
         else:
             out.append(((a, b), shape))
-    return [((Fraction(a, scale), Fraction(b, scale)), shape) for (a, b), shape in out]
+    return [((m.back(a), m.back(b)), shape) for (a, b), shape in out]
 
 
 def steady_progress_alpha(
@@ -506,32 +512,23 @@ def steady_progress_alpha(
     non-strict hop may leave before the last arrives).  Feasibility is
     monotone in alpha, and the least feasible alpha is p / j whole ticks of
     the window's grid with j <= n (j = 1 on a sequence's slice): the search
-    finds the least feasible multiple c of L = lcm(1..n) ticks at scale D * L,
-    then the least feasible c - L + L * i / j for 1 <= i <= j <= n.  Returns
-    None when some pair has no such journey in the window at all.
+    finds the least feasible multiple c of L = lcm(1..n) ticks at scale D * L
+    (L = 1 on a sequence, ``_TimeModel.fine``), then, when L > 1, the least
+    feasible c - L + L * i / j for 1 <= i <= j <= n.  Returns None when some
+    pair has no such journey in the window at all.
     """
     strict = _check_kind(kind)
-    discrete = isinstance(g, SnapshotSequence)
     if window is None:
-        window = (0, g.delta) if discrete else lifetime(g)
+        window = lifetime(g)
     if pair is not None:
-        _check_node(g, pair[0])
-        _check_node(g, pair[1])
+        _check_node(g, pair[0], pair[1])
         pairs = [pair]
     else:
-        nodes = sorted(g.nodes)
-        pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    sub = temporal_subgraph(g, window)
-    if discrete:
-        # alpha is a time difference, so the slice's ticks may start at 0; delta - 1 allows any wait
-        scale, ig, n, step, top = None, sub._ticks, 1, 1, sub.delta - 1
-        wlo, gap, cost = 0, int(strict), int(strict)
-    else:
-        n, step = len(g.nodes), math.lcm(*range(1, len(g.nodes) + 1))
-        scale = sub._unit * step
-        ig = sub._at_scale(scale)
-        (wlo, whi), z = ig.span, ig.latency
-        top, gap, cost = whi - wlo, z if strict else 0, z
+        pairs = list(itertools.permutations(sorted(g.nodes), 2))
+    m, n = _TimeModel(temporal_subgraph(g, window)), len(g.nodes)
+    step = m.fine(n)
+    ig, (wlo, whi) = m.ticks(*lifetime(m.g), factor=step)
+    gap, cost = ig.latency if strict else 0, m.hop_cost(ig.latency, strict)
     # each pair's least alpha known feasible; every alpha tested lies above every failure
     ok_from = [INF] * len(pairs)
 
@@ -558,10 +555,10 @@ def steady_progress_alpha(
                 lo_i = mid + 1
         return vals[lo_i]
 
-    c = least(range(0, top + 1, step))
-    if c:  # the answer lies in (c - step, c]
+    c = least(range(0, whi - wlo + 1, step))
+    if c and step > 1:  # the answer lies in (c - step, c]
         c = least(sorted({c - step + step * i // j for j in range(1, n + 1) for i in range(1, j + 1)}))
-    return None if c is None else _back(c, scale)
+    return None if c is None else m.back(c)
 
 
 def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:
@@ -605,22 +602,21 @@ def _alpha_ok(ig, src, dst, wlo, alpha, gap, cost) -> bool:
     return False
 
 
-def _journey_exists(g: TemporalGraph, s: str, t: str, internal, kind: str) -> bool:
-    """Is there an s ~> t journey through internal nodes only, from the start of the trace?"""
+def _journey_exists(view: IntervalGraph, s: str, t: str, internal, kind: str) -> bool:
+    """Is there an s ~> t journey through internal nodes only, from the start of the view?"""
     if s == t:
         return True
-    view = g._ticks if isinstance(g, SnapshotSequence) else g._at_scale(g._unit)
     sub = _induced(view, frozenset(internal) | {s, t})
     return t in _foremost(sub, s, lifetime(view)[0], kind, None, stop=t).parent
 
 
-def _minimal_feasible_sets(g, s, t, kind) -> Optional[list[frozenset[str]]]:
-    """Inclusion-minimal internal node sets supporting an s ~> t journey.
+def _minimal_feasible_sets(view, s, t, kind) -> Optional[list[frozenset[str]]]:
+    """Inclusion-minimal internal node sets supporting an s ~> t journey on an integer view.
 
     Returns None when the empty set is feasible (a direct presence exists).
     """
-    internal = sorted(g.nodes - {s, t})
-    if _journey_exists(g, s, t, (), kind):
+    internal = sorted(view.nodes - {s, t})
+    if _journey_exists(view, s, t, (), kind):
         return None
     minimal: list[frozenset[str]] = []
     for size in range(1, len(internal) + 1):
@@ -628,7 +624,7 @@ def _minimal_feasible_sets(g, s, t, kind) -> Optional[list[frozenset[str]]]:
             cset = frozenset(combo)
             if any(m <= cset for m in minimal):
                 continue
-            if _journey_exists(g, s, t, cset, kind):
+            if _journey_exists(view, s, t, cset, kind):
                 minimal.append(cset)
     return minimal
 
@@ -641,10 +637,9 @@ def max_disjoint_journeys(
     Infinity when a direct presence exists (empty interiors duplicate freely).
     """
     _check_kind(kind)
-    _check_node(g, s)
-    _check_node(g, t)
+    _check_node(g, s, t)
     _check_limit(g.nodes, limit_n, "brute-force")
-    minimal = _minimal_feasible_sets(g, s, t, kind)
+    minimal = _minimal_feasible_sets(_TimeModel(g).ticks()[0], s, t, kind)
     if minimal is None:
         return INF
 
@@ -663,16 +658,16 @@ def min_temporal_separator(
     Infinity when s and t share a direct presence (no internal cut exists).
     """
     _check_kind(kind)
-    _check_node(g, s)
-    _check_node(g, t)
+    _check_node(g, s, t)
     _check_limit(g.nodes, limit_n, "brute-force")
+    view, _ = _TimeModel(g).ticks()
     internal = sorted(g.nodes - {s, t})
-    if _journey_exists(g, s, t, (), kind):
+    if _journey_exists(view, s, t, (), kind):
         return INF
-    if not _journey_exists(g, s, t, internal, kind):
+    if not _journey_exists(view, s, t, internal, kind):
         return 0
     for size in range(1, len(internal) + 1):
         for cut in itertools.combinations(internal, size):
             remaining = set(internal) - set(cut)
-            if not _journey_exists(g, s, t, remaining, kind):
+            if not _journey_exists(view, s, t, remaining, kind):
                 return size

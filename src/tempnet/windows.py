@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import SnapshotSequence, TemporalGraph, Time, _node_index, _restrict, as_time, lifetime
+from .core import SnapshotSequence, TemporalGraph, Time, _node_index, _restrict, as_time
 from .errors import ContractError, InputError, RangeError
 from .hierarchy import _Swag, _walk_grow, tdiameter
 from .io import format_time
-from .journeys import _eccentricity, _in_ticks
+from .journeys import _eccentricity, _TimeModel
 
 METRICS = ("tdiam", "tc")  # plus "ecc:<node>"
 _MAX_WINDOWS = 10_000
@@ -58,22 +58,19 @@ def _shortest_passing(seq: SnapshotSequence, node) -> list:
 
 def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
     """Evaluate a metric over windows [s, s+width) stepping by ``step``."""
-    discrete = isinstance(g, SnapshotSequence)
+    m = _TimeModel(g)
     width, step = as_time(width), as_time(step)
-    if discrete:
-        for x in (width, step):
-            if x.denominator != 1:
-                raise RangeError(f"window width and step must be whole snapshots, got {x}")
-        width, step = int(width), int(step)
-        lo, hi = 0, g.delta
-    else:
-        lo, hi = lifetime(g)
+    for x in (width, step):
+        if not m.whole(x):
+            raise RangeError(f"window width and step must be whole snapshots, got {x}")
+    width, step = m.read(width, "window width"), m.read(step, "window step")  # ints on a sequence
+    lo, hi, _ = m.bounds()
     if width <= 0 or step <= 0:
         raise RangeError("window width and step must be positive")
     count = (hi - lo - width) // step + 1
     if count < 1:
         raise RangeError(f"no window of width {width} fits the lifetime [{lo}, {hi})")
-    if not discrete and count > _MAX_WINDOWS:
+    if not m.seq and count > _MAX_WINDOWS:  # a sequence walks the algebra once
         raise ContractError(
             f"{count} windows exceed the sliding-window limit {_MAX_WINDOWS}; use a larger --step"
         )
@@ -83,13 +80,13 @@ def sliding_metric(g: TemporalGraph, metric: str, width, step) -> WindowSeries:
         raise InputError(f"unknown node {node!r} in metric {metric!r}")
     if node is None and metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}; use tdiam, tc, or ecc:<node>")
-    if discrete:
+    if m.seq:  # one walk of the window algebra serves every window
         q = _shortest_passing(g, node)
         values = [q[s] - 1 if q[s] <= width else math.inf for s in starts]
     else:
-        scale, view, (first, w, dt) = _in_ticks(g, lo, width, step)
+        view, (first, w, dt) = m.ticks(lo, width, step)
         sources = sorted(g.nodes) if node is None else [node]
-        values = [_eccentricity(scale, _restrict(view, s, s + w), s, "strict", sources)
+        values = [_eccentricity(m, _restrict(view, s, s + w), s, "strict", sources)
                   for s in range(first, first + count * dt, dt)]
     if metric == "tc":
         values = [int(v != math.inf) for v in values]

@@ -565,6 +565,39 @@ def test_exit_code_1_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["stats", "{src}", "--bogus"], "usage: tempnet stats [-h] input\n"),
+    (["stats", "{src}", "extra"], "usage: tempnet stats [-h] input\n"),
+    (["sim", "forest", "{src}", "--bogus"], "usage: tempnet sim forest [-h]"),
+    (["--bogus", "stats", "{src}"], "usage: tempnet [-h] [--out OUT]"),
+])
+def test_an_unknown_argument_prints_the_usage_of_the_parser_that_met_it(
+        capsys, monkeypatch, trace_file, journey_fig, argv, usage):
+    # after a verb, that verb's usage, as a missing argument prints; before it, the top level's
+    monkeypatch.setenv("COLUMNS", "80")
+    src = trace_file(journey_fig)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(src=src) for a in argv])
+    err = capsys.readouterr().err
+    extra = argv[-1] if argv[0] != "--bogus" else "--bogus"
+    assert exc.value.code == 1 and err.startswith(usage)
+    assert err.endswith(f"\ntempnet: error: unrecognized arguments: {extra}\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--mode", "validate"], "--journey FILE required for validate"),
+    (["--mode", "foremost"], "--from required"),
+    (["--mode", "foremost", "--from", "a"], "--at required for foremost"),
+    (["--mode", "shortest", "--from", "a"], "--to required"),
+    (["--mode", "shortest", "--from", "a", "--to", "c"], "--at required for shortest"),
+    (["--mode", "latest-departure", "--from", "a", "--to", "c"],
+     "--at required for latest-departure"),
+])
+def test_journey_names_each_missing_option(capsys, trace_file, journey_fig, args, message):
+    assert main(["journey", trace_file(journey_fig), *args]) == 1
+    assert capsys.readouterr().err == f"tempnet: error: {message}\n"
+
+
 def test_exit_code_2_on_contract_violations(capsys, trace_file, bull_trace):
     src = trace_file(bull_trace)
     assert main(["robust-mis", src, "--limit-n", "2"]) == 2

@@ -327,3 +327,15 @@ def test_join_packed_is_the_boolean_product(data, n):
     cols = _spread(pack(x), n)
     assert cols == [sum(1 << i * n for i in range(n) if x[i] >> j & 1) for j in range(n)]
     assert _join_packed(pack(x), pack(y), n, cols) == want
+
+
+def test_interval_graph_rejects_a_duplicate_edge_a_negative_latency_and_an_empty_edge():
+    with pytest.raises(InputError, match=r"^duplicate edge \('a', 'b'\)$"):
+        IntervalGraph.build("ab", {("a", "b"): [(0, 1)], ("b", "a"): [(2, 3)]})
+    with pytest.raises(InputError, match="^latency must be >= 0$"):
+        IntervalGraph.build("ab", {("a", "b"): [(0, 1)]}, latency=-1)
+    with pytest.raises(InputError, match=r"^edge \('a', 'b'\) has no presence interval$"):
+        IntervalGraph(frozenset("ab"), {("a", "b"): ()}, Fraction(1))
+    # build drops an edge given no run: it is never present
+    g = IntervalGraph.build("abc", {("a", "b"): [], ("b", "c"): [(0, 1)]})
+    assert g.edges == {("b", "c"): ((0, 1),)}

@@ -750,25 +750,26 @@ def test_foremost_pushes_no_entry_toward_a_settled_node(monkeypatch):
 
 def count_searches(monkeypatch, tables=None):
     """Record the departure of every ``_foremost`` search from here on, in graph
-    time (a search on ``_shifted_grid``'s integer view reports t0 / scale, and on a
-    sequence's ``_ticks`` t0), and each search's ``stop`` and table into ``tables``
-    when it is given."""
+    time (a search on the sweeps' integer view, ``_TimeModel.grid``, reports t0 / scale,
+    and on a sequence's ``_ticks`` t0), and each search's ``stop`` and table into
+    ``tables`` when it is given."""
     starts, views = [], {}  # id(view) -> (view, scale), the view kept alive
-    real_search, real_grid = journeys._foremost, journeys._shifted_grid
+    real_search, real_grid = journeys._foremost, journeys._TimeModel.grid
 
-    def grid(g, lo, hi):
-        scale, view, cands = real_grid(g, lo, hi)
-        views[id(view)] = view, scale
-        return scale, view, cands
+    def grid(model, lo, hi):
+        view, cands = real_grid(model, lo, hi)
+        views[id(view)] = view, model.scale
+        return view, cands
 
     def counted(ig, src, t0, *rest, **kw):
-        starts.append(journeys._back(t0, views[id(ig)][1]) if id(ig) in views else t0)
+        scale = views[id(ig)][1] if id(ig) in views else None
+        starts.append(t0 if scale is None else Fraction(t0, scale))
         table = real_search(ig, src, t0, *rest, **kw)
         if tables is not None:
             tables.append((kw.get("stop"), table))
         return table
 
-    monkeypatch.setattr(journeys, "_shifted_grid", grid)
+    monkeypatch.setattr(journeys._TimeModel, "grid", grid)
     monkeypatch.setattr(journeys, "_foremost", counted)
     return starts
 
@@ -829,7 +830,7 @@ def test_interval_fastest_sweep_skips_dominated_departures(monkeypatch, kind):
     # a ~> c only by a-b at 5 and b-c from 8: departing at 0..5 arrives at 9
     g = IntervalGraph.build("abc", {("a", "b"): [(5, 6)], ("b", "c"): [(8, 10)]},
                             latency=1, span=(0, 10))
-    _, _, grid = journeys._shifted_grid(g, 0, 10)
+    _, grid = journeys._TimeModel(g).grid(0, 10)
     starts = count_searches(monkeypatch)
     got = fastest_journey(g, "a", "c", kind=kind)
     assert (got.duration, got.departure) == oracles.brute_fastest_intervals(g, "a", kind, 0, 10)["c"]
@@ -1006,7 +1007,9 @@ def thirds_and_quarters(draw):
 def test_shifted_grid_on_integers_matches_fraction_oracle(g, window):
     # fifths are off the thirds-and-quarters grid of the runs
     lo, hi = window
-    scale, view, got = journeys._shifted_grid(g, lo, hi)
+    model = journeys._TimeModel(g)
+    view, got = model.grid(lo, hi)
+    scale = model.scale
     assert [Fraction(x, scale) for x in got] == oracles.shifted_grid(g, lo, hi)
     assert all(type(x) is int and x % 2 == 0 for x in got)  # even ticks: midpoints are ticks
     assert all(a < b for a, b in zip(got, got[1:]))  # sorted and distinct
@@ -1113,3 +1116,15 @@ def test_temporal_distance_keys_come_in_sorted_order_whatever_the_hash_seed():
                            capture_output=True, text=True, check=True).stdout
             for seed in (0, 1)]
     assert keys == [str(list("abcdefg")) + "\n"] * 2
+
+
+@pytest.mark.parametrize("kind", ["strict", "nonstrict"])
+def test_a_node_and_itself(kind):
+    # the empty journey a ~> a needs no internal node: no cut kills it, copies of it are
+    # disjoint, and it waits for nothing
+    seq = seq_of("abc", ["ab"], ["bc"])
+    for g, zero in ((seq, int), (to_intervals(seq), Fraction)):
+        assert min_temporal_separator(g, "a", "a", kind) == math.inf
+        assert max_disjoint_journeys(g, "a", "a", kind) == math.inf
+        alpha = steady_progress_alpha(g, kind=kind, pair=("a", "a"))
+        assert (alpha, type(alpha)) == (0, zero)

@@ -274,7 +274,8 @@ def test_queries_map_between_a_sequence_and_its_interval_form(seq, kind):
             assert mapped.arrival == {v: a if v == u else a + 1 for v, a in table.arrival.items()}
             assert (mapped.parent, mapped.hops) == (table.parent, table.hops)
             for v in nodes:
-                got, other = shortest_journey(seq, u, v, t0, kind), shortest_journey(g, u, v, t0, kind)
+                got = shortest_journey(seq, u, v, t0, kind)
+                other = shortest_journey(g, u, v, t0, kind)
                 assert (got is None) == (other is None)
                 if got is not None:
                     assert (got.latency, other.latency) == (None, 1)
@@ -294,7 +295,8 @@ def test_earliest_arrival_tables_map_under_time_scale_and_shift(g, mix, kind, c,
     dep_hi = None if hi is None else lo + Fraction(hi, 24) * (end - lo)
     for u in sorted(g.nodes):
         table = earliest_arrival(g, u, t0, kind, dep_hi)
-        mapped = earliest_arrival(h, u, c * t0 + k, kind, None if dep_hi is None else c * dep_hi + k)
+        mapped_hi = None if dep_hi is None else c * dep_hi + k
+        mapped = earliest_arrival(h, u, c * t0 + k, kind, mapped_hi)
         assert mapped.latency == c * table.latency
         assert mapped.arrival == {v: c * a + k for v, a in table.arrival.items()}
         assert mapped.parent == {v: (p, c * s + k) for v, (p, s) in table.parent.items()}
@@ -322,8 +324,10 @@ def test_node_renaming_maps_journeys_and_distances(seq, kind):
                     r[v]: d for v, d in temporal_distance(seq, u, t, kind).items()}
             for v in nodes:
                 if t < seq.delta:
-                    assert latest_departure(h, r[u], r[v], t, kind) == latest_departure(seq, u, v, t, kind)
-                got, other = shortest_journey(seq, u, v, t, kind), shortest_journey(h, r[u], r[v], t, kind)
+                    latest = latest_departure(seq, u, v, t, kind)
+                    assert latest_departure(h, r[u], r[v], t, kind) == latest
+                got = shortest_journey(seq, u, v, t, kind)
+                other = shortest_journey(h, r[u], r[v], t, kind)
                 assert (got is None) == (other is None)
                 if got is not None:
                     assert (other.hop_count, other.arrival) == (got.hop_count, got.arrival)

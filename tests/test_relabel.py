@@ -228,3 +228,9 @@ def test_all_algorithms_report_their_name(journey_fig):
         )
         assert result["algorithm"] == algo
         assert isinstance(result["success"], bool)
+
+
+@pytest.mark.parametrize("call", [run, check_conditions])
+def test_an_unknown_algorithm_is_named_with_the_choices(call):
+    with pytest.raises(InputError, match=r"^unknown algorithm 'nope', expected one of \("):
+        call(seq_of("ab", ["ab"]), "nope")
