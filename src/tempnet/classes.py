@@ -28,6 +28,7 @@ from .core import (
     _check_kind,
     _check_limit,
     _reach_masks,
+    _trusted,
     edge,
     footprint,
 )
@@ -136,7 +137,7 @@ def is_robust_mis(g: StaticGraph, candidate: Iterable[str]) -> bool:
             return False  # not maximal
     for v in sorted(g.nodes - chosen):
         cut = {edge(v, w) for w in g.adjacency[v] & chosen}
-        if StaticGraph(g.nodes, g.edges - cut).is_connected():
+        if _trusted(StaticGraph, g.nodes, g.edges - cut).is_connected():
             return False
     return True
 

@@ -25,16 +25,11 @@ from typing import Optional
 
 from .core import (
     SnapshotSequence, StaticGraph, TemporalGraph, _check_kind, _check_limit, _comb, _hop_matrix,
-    _induced, _join_packed, _mask_bits, _node_index, _reach_masks, _spread, _tick, edge,
+    _induced, _join_packed, _mask_bits, _node_index, _reach_masks, _require_sequence, _spread,
+    _tick, edge,
 )
 from .errors import ContractError, InputError
 from .journeys import _foremost
-
-
-def _require_sequence(g: TemporalGraph) -> SnapshotSequence:
-    if not isinstance(g, SnapshotSequence):
-        raise InputError("closure operations need a snapshot sequence; discretize() first")
-    return g
 
 
 @dataclass(frozen=True)
@@ -66,11 +61,11 @@ def _closure(seq: SnapshotSequence, kind: str) -> Closure:
 
 
 def strict_closure(g: TemporalGraph) -> Closure:
-    return _closure(_require_sequence(g), "strict")
+    return _closure(_require_sequence(g, "closure operations"), "strict")
 
 
 def nonstrict_closure(g: TemporalGraph) -> Closure:
-    return _closure(_require_sequence(g), "nonstrict")
+    return _closure(_require_sequence(g, "closure operations"), "nonstrict")
 
 
 Rows = tuple[tuple[int, int], ...]  # (time, packed n-node matrix), one time per row
@@ -178,7 +173,7 @@ def roundtrip_closure(
     window: Optional[tuple[int, int]] = None,
     kind: str = "strict",
 ) -> RoundTripClosure:
-    seq = _require_sequence(g)
+    seq = _require_sequence(g, "closure operations")
     if window is None:
         window = (0, seq.delta)
     start, end = _tick(window[0], "window bound"), _tick(window[1], "window bound")
@@ -248,7 +243,7 @@ def maximal_temporal_components(
     maximal component is reached.  Exponential in the worst case, hence the
     node limit; pass limit_n=None to override it.
     """
-    seq = _require_sequence(g)
+    seq = _require_sequence(g, "closure operations")
     _check_kind(kind)
     _check_limit(seq.nodes, limit_n, "component search")
     todo = [seq.nodes] if seq.nodes else []

@@ -16,9 +16,15 @@ A sequence is also an interval graph on integer ticks: snapshot i is
 presence over [i, i+1) with latency 1.  Its cached ``_ticks`` view holds
 that graph with plain ``int`` times; the journey kernels run on it, and
 :func:`to_intervals` returns it with exact ``Fraction`` times.  An interval
-graph caches like integer views (``_at_scale``), every time times D (``_unit``)
+graph caches integer views (``_at_scale``), every time times D (``_unit``)
 or, for query times off that grid, a multiple of D.  Every interval search but
 the public ``earliest_arrival`` runs on them.
+
+Each class's invariant is checked in one place, its constructor;
+``IntervalGraph.build`` only shapes raw input before calling it.  A graph
+derived from a checked one (views, reversals, cuts, slices, discretizations,
+snapshots) is built by ``_trusted``, which checks nothing again.  An operation
+of one model given the other raises an ``InputError`` that names it.
 
 All types are immutable after construction and safe for concurrent reads.
 """
@@ -203,6 +209,14 @@ def _tick(t: Time, what: str) -> int:
     return int(t)
 
 
+def _trusted(cls, *fields):
+    """A graph of class cls from fields that already hold its invariant, because they are
+    (cut from) a graph that its constructor checked: the one path that skips the check."""
+    g = object.__new__(cls)
+    g.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return g
+
+
 @dataclass(frozen=True)
 class StaticGraph:
     """Plain undirected graph on named nodes."""
@@ -217,14 +231,6 @@ class StaticGraph:
     def build(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "StaticGraph":
         node_set = frozenset(nodes)
         return StaticGraph(node_set, frozenset(edge(u, v) for u, v in edges))
-
-    @classmethod
-    def _trusted(cls, nodes: frozenset[str], edges: frozenset[Edge]) -> "StaticGraph":
-        """A graph whose edges were already checked: a validated trace's edges or a subset of them."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "nodes", nodes)
-        object.__setattr__(g, "edges", edges)
-        return g
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -293,7 +299,7 @@ class SnapshotSequence:
     def graph_at(self, t: int) -> StaticGraph:
         if not isinstance(t, int) or not 0 <= t < self.delta:
             raise RangeError(f"snapshot index {t!r} outside 0..{self.delta - 1}")
-        return StaticGraph._trusted(self.nodes, self.snapshots[t])
+        return _trusted(StaticGraph, self.nodes, self.snapshots[t])
 
     @cached_property
     def _sorted_snapshots(self) -> tuple[tuple[Edge, ...], ...]:
@@ -316,32 +322,21 @@ class SnapshotSequence:
                 else:
                     ivs.append([i, i + 1])
         edges = {e: tuple(map(tuple, ivs)) for e, ivs in runs.items()}
-        return IntervalGraph(self.nodes, edges, 1, (0, self.delta))
+        return _trusted(IntervalGraph, self.nodes, edges, 1, (0, self.delta))
 
 
 Intervals = tuple[tuple[Fraction, Fraction], ...]
 
 
-def _normalize_intervals(raw: Iterable[tuple]) -> Intervals:
-    ivs = sorted((as_time(a), as_time(b)) for a, b in raw)
-    for a, b in ivs:
-        if not a < b:
-            raise InputError(f"empty or inverted interval [{a}, {b})")
-    merged: list[tuple[Fraction, Fraction]] = []
-    for a, b in ivs:
-        if merged and a < merged[-1][1]:
-            raise InputError(f"overlapping intervals at [{a}, {b})")
-        if merged and a == merged[-1][1]:
-            # touching intervals represent uninterrupted presence
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return tuple(merged)
-
-
 @dataclass(frozen=True)
 class IntervalGraph:
-    """Edges labeled with disjoint half-open presence intervals; global latency."""
+    """Edges labeled with disjoint half-open presence intervals; global latency.
+
+    The constructor checks the invariant every kernel relies on: times are ints or Fractions,
+    the latency is >= 0, edges are canonical, each edge's runs are non-empty, sorted and apart,
+    and a lifetime, if given, holds every run.  ``build`` shapes raw input and then calls it;
+    graphs derived from a checked one (views, cuts, reversals) are built trusted (``_trusted``).
+    """
 
     nodes: frozenset[str]
     edges: dict[Edge, Intervals]
@@ -349,12 +344,28 @@ class IntervalGraph:
     span: tuple[Fraction, Fraction] | None = None  # explicit lifetime override
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise InputError("latency must be >= 0")
-        _check_edges(self.edges, self.nodes)
+        times = (x for ivs in self.edges.values() for iv in ivs for x in iv)
+        for x in (self.latency, *(self.span or ()), *times):
+            if type(x) is not int and not isinstance(x, Fraction):  # a bool or a float is no exact time
+                raise InputError(f"times must be ints or Fractions, got {x!r}")
         for e, ivs in self.edges.items():
             if not ivs:
                 raise InputError(f"edge {e!r} has no presence interval")
+            for a, b in ivs:
+                if not a < b:
+                    raise InputError(f"empty or inverted interval [{a}, {b})")
+            for (start, end), (a, b) in zip(ivs, ivs[1:]):
+                if a <= end:
+                    fault = "unsorted" if a < start else "overlapping" if a < end else "touching"
+                    raise InputError(f"{fault} intervals at [{a}, {b})")
+        if self.span is not None:
+            lo, hi = self.span
+            # runs are sorted and apart, so an edge's first start and last end bound them all
+            if lo > hi or any(ivs[0][0] < lo or hi < ivs[-1][1] for ivs in self.edges.values()):
+                raise InputError(f"lifetime [{lo}, {hi}] must be an interval that holds every run")
+        if self.latency < 0:
+            raise InputError("latency must be >= 0")
+        _check_edges(self.edges, self.nodes)
 
     @staticmethod
     def build(
@@ -363,20 +374,26 @@ class IntervalGraph:
         latency=1,
         span: tuple | None = None,
     ) -> "IntervalGraph":
-        node_set = frozenset(nodes)
+        """Input shaping: exact times, canonical edges (no duplicate), runs sorted and merged, an
+        edge given no run dropped.  The constructor checks the invariant, bad runs included."""
         canon: dict[Edge, Intervals] = {}
         for (u, v), ivs in edges.items():
             e = edge(u, v)
             if e in canon:
                 raise InputError(f"duplicate edge {e!r}")
-            ivs = _normalize_intervals(ivs)
-            if ivs:
-                canon[e] = ivs
+            runs: list[tuple[Fraction, Fraction]] = []
+            for a, b in sorted((as_time(a), as_time(b)) for a, b in ivs):
+                # touching runs are one presence; only good runs merge (non-empty, the last one apart
+                # from its predecessor), so the constructor names the bad run a check before would
+                last = runs[-1] if runs else None
+                if last and last[0] < a == last[1] < b and (len(runs) < 2 or runs[-2][1] <= last[0]):
+                    runs[-1] = (last[0], b)
+                else:
+                    runs.append((a, b))
+            if runs:
+                canon[e] = tuple(runs)
         sp = None if span is None else (as_time(span[0]), as_time(span[1]))
-        # runs are sorted and merged, so an edge's first start and last end bound them all
-        if sp and (sp[0] > sp[1] or any(ivs[0][0] < sp[0] or sp[1] < ivs[-1][1] for ivs in canon.values())):
-            raise InputError(f"lifetime [{sp[0]}, {sp[1]}] must be an interval that holds every run")
-        return IntervalGraph(node_set, canon, as_time(latency), sp)
+        return IntervalGraph(frozenset(nodes), canon, as_time(latency), sp)
 
     @cached_property
     def incident(self) -> dict[str, tuple[tuple[str, Intervals], ...]]:
@@ -395,7 +412,7 @@ class IntervalGraph:
         """
         edges = {e: tuple((-b, -a) for a, b in reversed(ivs)) for e, ivs in self.edges.items()}
         span = None if self.span is None else (-self.span[1], -self.span[0])
-        return IntervalGraph(self.nodes, edges, self.latency, span)
+        return _trusted(IntervalGraph, self.nodes, edges, self.latency, span)
 
     @cached_property
     def _unit(self) -> int:
@@ -416,7 +433,7 @@ class IntervalGraph:
             span = None if self.span is None else (tick(self.span[0]), tick(self.span[1]))
             for k in [k for k in list(views) if k != self._unit][:-2]:
                 views.pop(k, None)
-            views[scale] = view = IntervalGraph(self.nodes, edges, tick(self.latency), span)
+            views[scale] = view = _trusted(IntervalGraph, self.nodes, edges, tick(self.latency), span)
         return view
 
 
@@ -436,6 +453,7 @@ def lifetime(g: TemporalGraph) -> tuple[Fraction, Fraction]:
 
 def characteristic_dates(g: IntervalGraph) -> tuple[Fraction, ...]:
     """Sorted times at which some edge appears or disappears."""
+    g = _require_intervals(g, "characteristic dates")
     return tuple(sorted({x for ivs in g.edges.values() for iv in ivs for x in iv}))
 
 
@@ -451,28 +469,23 @@ def _first_hop(ivs: Intervals, lb: Time, zeta: Time) -> Time | None:
 
 def supports_hop(g: IntervalGraph, e: Edge, s: Time) -> bool:
     """True iff the edge can carry a hop departing at s ([s, s+zeta] within [a, b])."""
-    s = as_time(s)
-    return _first_hop(g.edges.get(e, ()), s, g.latency) == s
+    g, s = _require_intervals(g, "hop tests"), as_time(s)
+    return _first_hop(g.edges.get(edge(*e), ()), s, g.latency) == s
 
 
 def footprint(g: TemporalGraph) -> StaticGraph:
     """Edges present at least once over the lifetime."""
     edges = frozenset().union(*g.snapshots) if isinstance(g, SnapshotSequence) else frozenset(g.edges)
-    return StaticGraph._trusted(g.nodes, edges)
+    return _trusted(StaticGraph, g.nodes, edges)
 
 
 def intersection_graph(g: TemporalGraph) -> StaticGraph:
     """Edges present in every snapshot / over the whole lifetime."""
     if isinstance(g, SnapshotSequence):
-        return StaticGraph._trusted(g.nodes, g.snapshots[0].intersection(*g.snapshots[1:]))
-    lo, hi = lifetime(g)
-    stable = frozenset(
-        e for e, ivs in g.edges.items()
-        if len(ivs) == 1 and ivs[0][0] <= lo and ivs[0][1] >= hi
-    )
-    if lo == hi:  # empty lifetime: everything (vacuously) stable
-        stable = frozenset(g.edges)
-    return StaticGraph(g.nodes, stable)
+        return _trusted(StaticGraph, g.nodes, g.snapshots[0].intersection(*g.snapshots[1:]))
+    lo, hi = lifetime(g)  # holds every run, so a run over all of it is the edge's only one
+    return _trusted(StaticGraph, g.nodes, frozenset(e for e, ivs in g.edges.items()
+                                                    if ivs[0][0] <= lo and hi <= ivs[0][1]))
 
 
 def snapshot_at(g: TemporalGraph, t: Time) -> StaticGraph:
@@ -487,7 +500,7 @@ def snapshot_at(g: TemporalGraph, t: Time) -> StaticGraph:
         e for e, ivs in g.edges.items()
         if any(a <= t < b for a, b in ivs)
     )
-    return StaticGraph(g.nodes, edges)
+    return _trusted(StaticGraph, g.nodes, edges)
 
 
 def temporal_subgraph(g: TemporalGraph, window: tuple[Time, Time]) -> TemporalGraph:
@@ -500,7 +513,7 @@ def temporal_subgraph(g: TemporalGraph, window: tuple[Time, Time]) -> TemporalGr
         a, b = max(a, 0), min(b, g.delta)
         if a >= b:
             raise RangeError(f"window [{ta}, {tb}) selects no snapshot")
-        return SnapshotSequence(g.nodes, g.snapshots[a:b])
+        return _trusted(SnapshotSequence, g.nodes, g.snapshots[a:b])
     ta, tb = as_time(ta), as_time(tb)
     if not ta < tb:
         raise RangeError(f"empty window [{ta}, {tb})")
@@ -519,13 +532,13 @@ def _restrict(g: IntervalGraph, ta: Time, tb: Time) -> IntervalGraph:
                      for a, b in ivs if a < tb and ta < b)
         if kept:
             clipped[e] = kept
-    return IntervalGraph(g.nodes, clipped, g.latency, (ta, tb))
+    return _trusted(IntervalGraph, g.nodes, clipped, g.latency, (ta, tb))
 
 
 def _induced(g: IntervalGraph, keep: frozenset[str]) -> IntervalGraph:
     """The one node restriction: g on the nodes keep, with the edges between two of them."""
     edges = {e: ivs for e, ivs in g.edges.items() if e[0] in keep and e[1] in keep}
-    return IntervalGraph(keep, edges, g.latency, g.span)
+    return _trusted(IntervalGraph, keep, edges, g.latency, g.span)
 
 
 @dataclass(frozen=True)
@@ -545,7 +558,7 @@ def discretize(g: IntervalGraph) -> Discretization:
     Snapshot i contains an edge iff the edge is present throughout
     [date_i, date_{i+1}).
     """
-    dates = list(characteristic_dates(g))
+    dates = list(characteristic_dates(_require_intervals(g, "discretizations")))
     lo, hi = lifetime(g)
     if g.span is not None:
         if not dates or dates[0] > lo:
@@ -553,14 +566,14 @@ def discretize(g: IntervalGraph) -> Discretization:
         if dates[-1] < hi:
             dates.append(hi)
     if len(dates) < 2:
-        seq = SnapshotSequence(g.nodes, (frozenset(),))
+        seq = _trusted(SnapshotSequence, g.nodes, (frozenset(),))
         return Discretization(seq, ((lo, lo + 1),))
     return Discretization(_on_grid(g, dates), tuple(zip(dates, dates[1:])))
 
 
 def _on_grid(g: IntervalGraph, dates: Sequence[Time]) -> SnapshotSequence:
     """Snapshot i holds the edges present throughout [dates[i], dates[i+1])."""
-    return SnapshotSequence(g.nodes, tuple(
+    return _trusted(SnapshotSequence, g.nodes, tuple(
         frozenset(e for e, ivs in g.edges.items() if any(x <= a and b <= y for x, y in ivs))
         for a, b in zip(dates, dates[1:])
     ))
@@ -569,6 +582,20 @@ def _on_grid(g: IntervalGraph, dates: Sequence[Time]) -> SnapshotSequence:
 def _as_sequence(g: TemporalGraph) -> SnapshotSequence:
     """g itself, or the snapshot sequence of its discretization."""
     return g if isinstance(g, SnapshotSequence) else discretize(g).sequence
+
+
+def _require_sequence(g: TemporalGraph, what: str) -> SnapshotSequence:
+    """g, which the operations named by what need to be a snapshot sequence."""
+    if not isinstance(g, SnapshotSequence):
+        raise InputError(f"{what} need a snapshot sequence; discretize() first")
+    return g
+
+
+def _require_intervals(g: TemporalGraph, what: str) -> IntervalGraph:
+    """g, which the operations named by what need to be an interval graph."""
+    if not isinstance(g, IntervalGraph):
+        raise InputError(f"{what} need an interval graph; convert a snapshot sequence with to_intervals")
+    return g
 
 
 @dataclass(frozen=True)
@@ -603,12 +630,13 @@ def stats(g: TemporalGraph) -> TraceStats:
 
 def to_intervals(seq: SnapshotSequence, latency=1) -> IntervalGraph:
     """Continuous representation: snapshot i becomes presence over [i, i+1)."""
-    return IntervalGraph.build(seq.nodes, seq._ticks.edges, latency, seq._ticks.span)
+    ticks = _require_sequence(seq, "conversions to intervals")._ticks
+    return IntervalGraph.build(seq.nodes, ticks.edges, latency, ticks.span)
 
 
 def to_snapshots(g: IntervalGraph) -> SnapshotSequence:
     """Discrete representation on the unit grid; endpoints must be integers."""
-    lo, hi = lifetime(g)
+    lo, hi = lifetime(_require_intervals(g, "conversions to snapshots"))
     for d in (lo, hi, *[x for ivs in g.edges.values() for iv in ivs for x in iv]):
         if Fraction(d).denominator != 1:
             raise InputError(

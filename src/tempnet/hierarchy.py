@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import SnapshotSequence, StaticGraph, _check_kind, _hop_matrix, _join_packed
+from .core import _require_sequence, _trusted
 from .errors import InputError, RangeError
 from .closure import concat_roundtrip, is_roundtrip_connected, roundtrip_lift
 
@@ -104,7 +105,7 @@ class _Swag:
 
 def decide(algebra: WindowAlgebra, seq: SnapshotSequence, r: int) -> DecideResult:
     """Do all windows of length r pass?  Costs at most 6*delta compose+test."""
-    delta = seq.delta
+    delta = _require_sequence(seq, "window decisions").delta
     if not 1 <= r <= delta:
         raise RangeError(f"window length {r} outside 1..{delta}")
     inc = IncrementalDecide(algebra, r)
@@ -163,7 +164,7 @@ def extremal(algebra: WindowAlgebra, seq: SnapshotSequence) -> HierarchyResult:
     works.  Costs at most 10*delta compose+test calls.
     """
     sw = _Swag(algebra)
-    delta = seq.delta
+    delta = _require_sequence(seq, "extremal window searches").delta
     if algebra.direction == "grow":
         # running maxima of q; r works iff it covers q[s] for every s <= delta - r
         q = list(itertools.accumulate(_walk_grow(sw, seq), max))
@@ -216,7 +217,7 @@ def tinterval() -> WindowAlgebra:
     """Largest r such that every r-window's standing edges span a connected graph."""
     return WindowAlgebra(
         lift=lambda i, gs: gs,
-        compose=lambda a, b: StaticGraph._trusted(a.nodes, a.edges & b.edges),
+        compose=lambda a, b: _trusted(StaticGraph, a.nodes, a.edges & b.edges),
         test=lambda gs: gs.is_connected(),
         direction="shrink",
     )

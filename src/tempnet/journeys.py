@@ -41,6 +41,7 @@ from .core import (
     _check_limit,
     _first_hop,
     _induced,
+    _require_intervals,
     _tick,
     as_time,
     characteristic_dates,
@@ -190,7 +191,7 @@ def validate_journey(g: TemporalGraph, j: Journey) -> bool:
             return False  # not a walk
     if not all(m.whole(t) for _, _, t in j.hops):
         return False  # on ticks, a hop at 1/2 would fit inside a run
-    if not all(supports_hop(ig, edge(u, v), t) for u, v, t in j.hops):
+    if not all(supports_hop(ig, (u, v), t) for u, v, t in j.hops):
         return False
     times = [as_time(t) for _, _, t in j.hops]
     sep = ig.latency if strict else 0
@@ -471,10 +472,7 @@ def foremost_tree_intervals(
     inside the lifetime.  A snapshot sequence is rejected: ``to_intervals``
     converts it.
     """
-    if isinstance(g, SnapshotSequence):
-        raise InputError("foremost-tree sweeps need an interval graph; "
-                         "convert a snapshot sequence with to_intervals")
-    _check_node(g, src)
+    _check_node(_require_intervals(g, "foremost-tree sweeps"), src)
     wlo, whi = as_time(window[0]), as_time(window[1])
     if not wlo < whi:
         raise RangeError(f"empty window [{wlo}, {whi})")

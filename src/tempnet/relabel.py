@@ -19,8 +19,7 @@ import random
 from typing import Optional
 
 from .classes import finite_class_membership
-from .closure import _require_sequence
-from .core import SnapshotSequence, _node_index, _reach_masks, footprint
+from .core import SnapshotSequence, _node_index, _reach_masks, _require_sequence, footprint
 from .errors import ContractError, InputError
 from .simforest import _validate_schedule, fair_schedule, init, select_edge, advance_snapshot
 
@@ -51,7 +50,7 @@ def run(
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if not seq.nodes:
+    if not _require_sequence(seq, "relabeling runs").nodes:
         raise InputError("relabeling needs at least one node")
     rng = rng or random.Random(0)
     if schedule is None:
@@ -151,9 +150,9 @@ def check_conditions(
     """
     if algorithm not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    seq = _require_sequence(seq, "relabeling conditions")
     if algorithm == "broadcast":
         bit = 1 << _node_index(seq.nodes)[1][_check_member(seq, emitter, "emitter")]
-        seq = _require_sequence(seq)
         # the emitter's bit in every reach row: it reaches everyone, non-strict / strict
         necessary, sufficient = (all(row & bit for row in _reach_masks(seq, s)[1]) for s in (False, True))
         return {"necessary": necessary, "sufficient": sufficient}
@@ -175,7 +174,7 @@ def broadcast_outcomes(seq: SnapshotSequence, emitter: str) -> set[frozenset[str
     State space is (informed set) x (edges still owed a selection) per
     snapshot, so this is for small traces only.
     """
-    emitter = _check_member(seq, emitter, "emitter")
+    emitter = _check_member(_require_sequence(seq, "broadcast outcome searches"), emitter, "emitter")
     states = {frozenset([emitter])}
     for snap_edges in seq._sorted_snapshots:
         nxt: set[frozenset[str]] = set()

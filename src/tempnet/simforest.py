@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Edge, SnapshotSequence, StaticGraph, edge
+from .core import Edge, SnapshotSequence, StaticGraph, _require_sequence, _trusted, edge
 from .errors import ContractError, InputError, RangeError
 
 
@@ -191,7 +191,7 @@ def run(
     Each row reports the snapshot's connected component count, the number of
     trees, the trees inside each component, and trees per component.
     """
-    if not seq.nodes:
+    if not _require_sequence(seq, "forest simulations").nodes:
         raise InputError("the forest simulation needs at least one node")
     rng = rng or random.Random(0)
     if schedule is None:
@@ -250,7 +250,7 @@ def run_static(
     rng = rng or random.Random(0)
     if max_steps is None:
         max_steps = 10_000 * max(1, len(graph.nodes))
-    seq = SnapshotSequence(graph.nodes, (graph.edges,))
+    seq = _trusted(SnapshotSequence, graph.nodes, (graph.edges,))
     state = init(seq)
     edges = sorted(graph.edges)
     steps = 0

@@ -1,5 +1,6 @@
 """Data model: construction rules, conversions, slicing."""
 
+import dataclasses
 from fractions import Fraction
 
 import networkx as nx
@@ -28,8 +29,12 @@ from tempnet.core import (
     to_intervals,
     to_snapshots,
 )
-from tempnet.core import _join_packed, _spread
+from tempnet.core import _induced, _join_packed, _restrict, _spread
 from tempnet.errors import InputError, RangeError
+from tempnet import hierarchy, relabel, simforest
+from tempnet.journeys import foremost_tree_intervals, latest_departure, min_temporal_separator
+from tempnet.closure import strict_closure
+from tempnet.windows import sliding_metric
 
 
 def test_as_time_accepts_the_usual_spellings():
@@ -146,6 +151,7 @@ def test_supports_hop_is_closed_at_interval_ends(distance_fig):
     assert not supports_hop(distance_fig, e, 2 - zeta + Fraction(1, 10_000))
     assert not supports_hop(distance_fig, e, Fraction(1, 2))
     assert not supports_hop(distance_fig, ("a", "d"), 1)  # never present
+    assert supports_hop(distance_fig, ("b", "a"), 1)  # a pair in either order names one edge
 
 
 def test_footprint_and_intersection(journey_fig):
@@ -339,3 +345,90 @@ def test_interval_graph_rejects_a_duplicate_edge_a_negative_latency_and_an_empty
     # build drops an edge given no run: it is never present
     g = IntervalGraph.build("abc", {("a", "b"): [], ("b", "c"): [(0, 1)]})
     assert g.edges == {("b", "c"): ((0, 1),)}
+    # the raw constructor checks what build promises; build merges touching runs first
+    ab = frozenset("ab")
+    for runs, span, latency, message in [
+        (((2, 3), (0, 1)), None, 1, r"unsorted intervals at \[0, 1\)"),
+        (((0, 1), (1, 2)), None, 1, r"touching intervals at \[1, 2\)"),
+        (((0, 2), (1, 3)), None, 1, r"overlapping intervals at \[1, 3\)"),
+        (((2, 1),), None, 1, r"empty or inverted interval \[2, 1\)"),
+        (((0, 1),), (2, 1), 1, r"lifetime \[2, 1\] must be an interval that holds every run"),
+        (((0, 1),), (2, 3), 1, r"lifetime \[2, 3\] must be an interval that holds every run"),
+        (((0, 0.5),), None, 1, r"times must be ints or Fractions, got 0.5"),
+        (((True, 2),), None, 1, r"times must be ints or Fractions, got True"),
+        (((0, 1),), None, 0.5, r"times must be ints or Fractions, got 0.5"),
+        (((0, 1),), None, False, r"times must be ints or Fractions, got False"),
+    ]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            IntervalGraph(ab, {("a", "b"): runs}, latency, span)
+
+
+_SEQ = seq_of("ab", ["ab"], [])
+_IG = to_intervals(_SEQ)
+_NEEDS_SEQ = "need a snapshot sequence; discretize() first"
+_NEEDS_IG = "need an interval graph; convert a snapshot sequence with to_intervals"
+
+
+@pytest.mark.parametrize("call, g, want", [
+    pytest.param(lambda g: relabel.run(g, "broadcast", emitter="a"), _IG, "relabeling runs",
+                 id="relabel.run"),
+    pytest.param(lambda g: relabel.broadcast_outcomes(g, "a"), _IG, "broadcast outcome searches",
+                 id="broadcast_outcomes"),
+    pytest.param(lambda g: relabel.check_conditions(g, "count-sentinel", sentinel="a"), _IG,
+                 "relabeling conditions", id="check_conditions"),
+    pytest.param(simforest.run, _IG, "forest simulations", id="simforest.run"),
+    pytest.param(lambda g: hierarchy.decide(hierarchy.tinterval(), g, 1), _IG, "window decisions",
+                 id="decide"),
+    pytest.param(lambda g: hierarchy.extremal(hierarchy.tinterval(), g), _IG, "extremal window searches",
+                 id="extremal"),
+    pytest.param(to_intervals, _IG, "conversions to intervals", id="to_intervals"),
+    pytest.param(strict_closure, _IG, "closure operations", id="strict_closure"),
+    pytest.param(lambda g: supports_hop(g, ("a", "b"), 0), _SEQ, "hop tests", id="supports_hop"),
+    pytest.param(characteristic_dates, _SEQ, "characteristic dates", id="characteristic_dates"),
+    pytest.param(discretize, _SEQ, "discretizations", id="discretize"),
+    pytest.param(to_snapshots, _SEQ, "conversions to snapshots", id="to_snapshots"),
+    pytest.param(lambda g: foremost_tree_intervals(g, "a", (0, 1)), _SEQ, "foremost-tree sweeps",
+                 id="foremost_tree_intervals"),
+])
+def test_an_operation_given_the_other_time_model_names_itself(call, g, want):
+    with pytest.raises(InputError) as raised:
+        call(g)
+    assert str(raised.value) == f"{want} {_NEEDS_SEQ if g is _IG else _NEEDS_IG}"
+
+
+@given(sequences(max_n=5, max_delta=5) | interval_graphs(max_n=5)
+       | interval_graphs(max_n=5).map(mixed), st.data())
+def test_every_derived_graph_passes_its_validating_constructor(g, data):
+    # what the trusted path builds must be what the checking constructor accepts
+    discrete = isinstance(g, SnapshotSequence)
+    ig = g._ticks if discrete else g
+    lo, hi = lifetime(ig)
+    a, b = sorted(data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+    ta, tb = lo + (hi - lo) * Fraction(a, 8), lo + (hi - lo) * Fraction(b, 8)
+    at, window = (int(ta), (int(ta), int(tb))) if discrete else (ta, (ta, tb))
+    keep = frozenset(data.draw(st.sets(st.sampled_from(sorted(ig.nodes)))))
+    derived = [ig, ig._at_scale(ig._unit), ig._at_scale(3 * ig._unit), ig._reversed,
+               _restrict(ig, ta, tb), _induced(ig, keep), discretize(ig).sequence,
+               snapshot_at(g, at), intersection_graph(g)]
+    if window[0] < window[1]:  # int() may empty a discrete window, which is an error
+        derived.append(temporal_subgraph(g, window))
+    for d in derived:
+        assert dataclasses.replace(d) == d
+
+
+def test_derived_graphs_are_not_checked_again(monkeypatch):
+    ig = IntervalGraph.build("abcd", {("a", "b"): [(0, 2)], ("b", "c"): [(1, 3)],
+                                      ("c", "d"): [(Fraction(5, 2), 4)]}, Fraction(1, 2), (0, 4))
+    seq = seq_of("abcd", ["ab"], ["bc", "ab"], ["cd"], ["bc"])
+    checked = []
+    for cls in (StaticGraph, SnapshotSequence, IntervalGraph):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: checked.append(
+            type(self).__name__) or check(self))
+    for g in (ig, seq):
+        assert min_temporal_separator(g, "a", "d") == 1
+        assert latest_departure(g, "a", "d", 3) is not None
+    sliding_metric(ig, "tdiam", 2, Fraction(1, 3))
+    discretize(ig)
+    assert checked == []
+    IntervalGraph(ig.nodes, ig.edges, ig.latency, ig.span)
+    assert checked == ["IntervalGraph"]  # the public constructor still checks

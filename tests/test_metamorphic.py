@@ -10,6 +10,9 @@ the same journeys: a hop in snapshot t is a hop at time t, arriving by t + 1.
 
 Renaming the nodes maps every journey, so every node-valued answer maps
 through the renaming; a witness need not, since ties break by node id.
+
+Reversing a sequence's snapshots reverses every journey, of the same kind:
+u ~> v becomes v ~> u, and a round trip from u stays one from u.
 """
 
 import itertools
@@ -19,10 +22,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from strategies import KINDS, interval_graphs, mixed, sequences
 from tempnet.classes import CLASS_NAMES, finite_class_membership
 from tempnet.closure import maximal_temporal_components, nonstrict_closure, strict_closure
 from tempnet.core import IntervalGraph, SnapshotSequence, edge, to_intervals
+from tempnet.hierarchy import extremal, rt_tdiameter, tdiameter
 from tempnet.journeys import (
     earliest_arrival,
     eccentricity,
@@ -127,6 +132,18 @@ def test_separators_and_disjoint_journeys_agree_in_the_interval_form(seq, kind):
     for s, t in itertools.permutations(sorted(seq.nodes), 2):
         assert min_temporal_separator(g, s, t, kind) == min_temporal_separator(seq, s, t, kind)
         assert max_disjoint_journeys(g, s, t, kind) == max_disjoint_journeys(seq, s, t, kind)
+
+
+@settings(deadline=None)
+@given(sequences(min_n=1, max_n=6, max_delta=6), KINDS)
+def test_reversing_the_snapshots_transposes_the_closures_and_keeps_the_diameters(seq, kind):
+    # both sides of the relation transpose a closure computed backwards; the oracle does not
+    rev = SnapshotSequence(seq.nodes, seq.snapshots[::-1])
+    closure = strict_closure if kind == "strict" else nonstrict_closure
+    transposed = {(v, u) for u, v in closure(seq).arcs}
+    assert closure(rev).arcs == transposed == oracles.brute_closure_arcs(rev, kind)
+    for algebra in (tdiameter("strict"), tdiameter("nonstrict"), rt_tdiameter(kind)):
+        assert extremal(algebra, rev).value == extremal(algebra, seq).value
 
 
 def renamed(g):
